@@ -17,7 +17,7 @@ from .encoders import cfg_to_bc, horn_to_bc, parse_cfg, parse_horn
 from .engine import ExpansionLimits, closure, sample
 from .errors import BCError
 from .metrics import CSV_HEADER, evaluate
-from .syntax import Program, load_program, program_size
+from .syntax import Program, Statement, load_program, program_size
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
@@ -39,6 +39,24 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
                         help="do not split punctuation into separate tokens")
     parser.add_argument("--sentences", action="store_true",
                         help="split on sentence boundaries instead of lines")
+
+
+def _add_search_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--lambda", type=float, default=0.5)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--beam", type=int, default=8)
+    parser.add_argument("--iterations", type=int, default=8)
+    _add_limit_flags(parser)
+    _add_corpus_flags(parser)
+
+
+def _search_config(args: argparse.Namespace, budget: int) -> SearchConfig:
+    return SearchConfig(budget_chars=budget,
+                        lambda_accuracy=getattr(args, "lambda"),
+                        seed=args.seed,
+                        max_iterations=args.iterations,
+                        beam_width=args.beam,
+                        limits=_limits(args))
 
 
 def _tokenizer(args: argparse.Namespace) -> TokenizerOptions:
@@ -75,21 +93,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _program_first(statements: Sequence[Statement],
+                   program: Program) -> list[str]:
+    """Program statements in their order, then derived ones sorted."""
+    return [str(s) for s in statements if s in program] + \
+        sorted(str(s) for s in statements if s not in program)
+
+
 def _cmd_expand(args: argparse.Namespace) -> int:
     program = load_program(args.program)
     limits = _limits(args)
     result = closure(program, limits)
     lines = _truncation_header(result, limits)
-    originals = [s for s in result.bracket_free if s in program]
-    derived = sorted((s for s in result.bracket_free if s not in program),
-                     key=str)
-    lines += [str(s) for s in originals + derived]
+    lines += _program_first(result.bracket_free, program)
     if args.residual:
         lines.append("# residual")
-        res_orig = [s for s in result.residual if s in program]
-        res_derived = sorted((s for s in result.residual if s not in program),
-                             key=str)
-        lines += [str(s) for s in res_orig + res_derived]
+        lines += _program_first(result.residual, program)
     print("\n".join(lines))
     return 0
 
@@ -137,15 +156,7 @@ def _cmd_encode_horn(args: argparse.Namespace) -> int:
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus, _tokenizer(args))
-    config = SearchConfig(
-        budget_chars=args.budget,
-        lambda_accuracy=getattr(args, "lambda"),
-        seed=args.seed,
-        max_iterations=args.iterations,
-        beam_width=args.beam,
-        limits=_limits(args),
-    )
-    cand = compress(corpus, config)
+    cand = compress(corpus, _search_config(args, args.budget))
     _write(args.output, str(cand.program))
     print(f"# seed {args.seed}", file=sys.stderr)
     print(cand.report.as_kv(), file=sys.stderr)
@@ -155,15 +166,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 def _cmd_frontier(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus, _tokenizer(args))
     budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
-    config = SearchConfig(
-        budget_chars=max(budgets),
-        lambda_accuracy=getattr(args, "lambda"),
-        seed=args.seed,
-        max_iterations=args.iterations,
-        beam_width=args.beam,
-        limits=_limits(args),
-    )
-    points = frontier_sweep(corpus, budgets, config)
+    points = frontier_sweep(corpus, budgets,
+                            _search_config(args, max(budgets)))
     skipped = len(budgets) + 3 - len(points)
     if skipped:
         print(f"# {skipped} budget(s) skipped: too small for any program",
@@ -217,25 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="search for a size-bounded program")
     p.add_argument("corpus")
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--lambda", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beam", type=int, default=8)
-    p.add_argument("--iterations", type=int, default=8)
     p.add_argument("-o", "--output", default=None)
-    _add_limit_flags(p)
-    _add_corpus_flags(p)
+    _add_search_flags(p)
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("frontier", help="sweep budgets, emit frontier CSV")
     p.add_argument("corpus")
     p.add_argument("--budgets", required=True)
     p.add_argument("--csv", required=True)
-    p.add_argument("--lambda", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beam", type=int, default=8)
-    p.add_argument("--iterations", type=int, default=8)
-    _add_limit_flags(p)
-    _add_corpus_flags(p)
+    _add_search_flags(p)
     p.set_defaults(func=_cmd_frontier)
 
     return parser

@@ -142,7 +142,7 @@ def _categories(prog: Program) -> list[str]:
     in_brackets: set[str] = set()
     for st in prog:
         _bracket_words(st.elements, in_brackets)
-    heads = {st.words[0] for st in prog if st.is_bracket_free() and st.words}
+    heads = {st.words[0] for st in prog if st.bracket_free and st.words}
     return sorted(in_brackets & heads)
 
 
@@ -166,14 +166,14 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
     cats = _categories(prog)
     vocab = {w for s in corpus for w in s.words}
     for st in stmts:
-        if st.is_bracket_free():
+        if st.bracket_free:
             vocab.update(st.words)
-    results: dict[str, Program] = {}
+    results: dict[Program, None] = {}
 
     def emit(statements: Iterable[Statement]) -> None:
         p = Program(statements)
-        if len(p) and str(p) != str(prog):
-            results.setdefault(str(p), p)
+        if len(p) and p != prog:
+            results[p] = None
 
     # (a) merge two categories
     for w1, w2 in combinations(cats, 2):
@@ -192,16 +192,16 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
 
     # (d) widen a category with a corpus-aligned variant
     for st in stmts:
-        slot = [i for i, e in enumerate(st.elements) if isinstance(e, Bracket)]
-        if len(slot) != 1:
+        slots = [(i, e) for i, e in enumerate(st.elements)
+                 if isinstance(e, Bracket)]
+        if len(slots) != 1:
             continue
-        br = st.elements[slot[0]]
-        assert isinstance(br, Bracket)
+        [(i, br)] = slots
         if len(br.elements) != 1 or br.elements[0] not in cats:
             continue
         cat = br.elements[0]
-        prefix = st.elements[: slot[0]]
-        suffix = st.elements[slot[0] + 1:]
+        prefix = st.elements[:i]
+        suffix = st.elements[i + 1:]
         k = len(prefix) + len(suffix)
         for sent in corpus:
             t = sent.words
@@ -215,7 +215,7 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
     # (e) factor a constant token into an existing category slot; the alias
     # device keeps a repeated category independent under the same-content rule
     for idx, st in enumerate(stmts):
-        if st.is_bracket_free():
+        if st.bracket_free:
             continue
         for pos, e in enumerate(st.elements):
             if not isinstance(e, str):
@@ -235,7 +235,7 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
                     st.elements[:pos] + (bracket,) + st.elements[pos + 1:])
                 emit(stmts[:idx] + [new_st] + stmts[idx + 1:] + extra)
 
-    ordered = [results[k] for k in sorted(results)]
+    ordered = sorted(results, key=str)
     if len(ordered) > _MAX_NEIGHBORS:
         keep = sorted(rng.sample(range(len(ordered)), _MAX_NEIGHBORS))
         ordered = [ordered[i] for i in keep]
@@ -271,11 +271,9 @@ def _greedy_prefix(corpus: Sequence[Statement], budget: int) -> Program:
     return Program(picked)
 
 
-def _better(a: Candidate, b: Candidate) -> bool:
-    """Deterministic strict improvement of a over b."""
-    if a.objective != b.objective:
-        return a.objective > b.objective
-    return str(a.program) < str(b.program)
+def _rank(c: Candidate) -> tuple[float, str]:
+    """Search order: higher objective first, ties by program text."""
+    return (-c.objective, str(c.program))
 
 
 def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
@@ -292,36 +290,30 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
             f"budget {config.budget_chars} fits no single corpus statement")
 
     c_set = frozenset(corpus)
-    seen: dict[str, Candidate] = {}
+    seen: dict[Program, Candidate] = {}
 
     def score(program: Program) -> Candidate:
-        key = str(program)
-        if key not in seen:
-            seen[key] = evaluate_program(program, c_set, config)
-        return seen[key]
+        if program not in seen:
+            seen[program] = evaluate_program(program, c_set, config)
+        return seen[program]
 
     starts = [_greedy_prefix(corpus, config.budget_chars), induce_slots(corpus)]
-    beam = [score(p) for p in dict.fromkeys(starts, None)]
-    beam.sort(key=lambda c: (-c.objective, str(c.program)))
+    beam = sorted(map(score, dict.fromkeys(starts)), key=_rank)
     beam = beam[: config.beam_width]
     best = beam[0]
 
     rng = random.Random(config.seed)
     for _ in range(config.max_iterations):
-        produced: list[Candidate] = []
-        for cand in beam:
-            for prog in neighbors(cand, corpus, config, rng):
-                if str(prog) not in seen:
-                    produced.append(score(prog))
+        produced = [score(prog) for cand in beam
+                    for prog in neighbors(cand, corpus, config, rng)
+                    if prog not in seen]
         if not produced:
             break
-        merged = {str(c.program): c for c in beam + produced}
-        ranked = sorted(merged.values(),
-                        key=lambda c: (-c.objective, str(c.program)))
-        new_beam = ranked[: config.beam_width]
-        if _better(new_beam[0], best):
+        merged = {c.program: c for c in beam + produced}
+        new_beam = sorted(merged.values(), key=_rank)[: config.beam_width]
+        if _rank(new_beam[0]) < _rank(best):
             best = new_beam[0]
-        if [str(c.program) for c in new_beam] == [str(c.program) for c in beam]:
+        if [c.program for c in new_beam] == [c.program for c in beam]:
             break
         beam = new_beam
     return best

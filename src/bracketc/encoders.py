@@ -14,6 +14,7 @@ position.  Two variables sharing a binder content get the alias device
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -21,6 +22,15 @@ from .errors import ReservedSymbolClash, UnsupportedRule
 from .syntax import Bracket, Element, Program, Statement
 
 ARROW = "->"
+
+_WORD_RE = re.compile(r"[^\s\[\]]+")
+
+
+def _word(text: str, line: str) -> str:
+    """`text` itself when it is one bracket-free word; ValueError otherwise."""
+    if not _WORD_RE.fullmatch(text):
+        raise ValueError(f"{text!r} is not one bracket-free word: {line!r}")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +68,14 @@ def parse_cfg(text: str) -> CFG:
         if "->" not in stripped:
             raise ValueError(f"grammar line without '->': {stripped!r}")
         lhs, rhs_text = stripped.split("->", 1)
-        lhs = lhs.strip()
-        if not lhs:
-            raise ValueError(f"missing left-hand side: {stripped!r}")
+        lhs = _word(lhs.strip(), stripped)
         if lhs not in nonterminals:
             nonterminals.append(lhs)
         for alt in rhs_text.split("|"):
-            symbols = tuple(alt.split())
+            symbols = tuple(_word(sym, stripped) for sym in alt.split())
+            if ARROW in symbols:
+                raise ReservedSymbolClash(
+                    f"{ARROW!r} used as a grammar symbol: {stripped!r}")
             if symbols == ("eps",):
                 symbols = ()
             productions.append((lhs, symbols))
@@ -196,16 +207,17 @@ def _parse_atom(text: str) -> Atom:
     if "(" not in text:
         if not text:
             raise ValueError("empty atom")
-        return Atom(text)
+        return Atom(_word(text, text))
     if not text.endswith(")"):
         raise ValueError(f"malformed atom: {text!r}")
     pred, inner = text[:-1].split("(", 1)
-    pred = pred.strip()
+    pred = _word(pred.strip(), text)
     args: list[Term] = []
     for part in inner.split(","):
         part = part.strip()
         if not part:
             raise ValueError(f"empty argument in atom: {text!r}")
+        _word(part, text)
         args.append(Var(part) if part[0].isupper() else part)
     return Atom(pred, tuple(args))
 

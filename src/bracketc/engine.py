@@ -76,11 +76,11 @@ def ripe_contents(s: Statement) -> list[WordSeq]:
     def walk(elements: Iterable[Element]) -> None:
         for e in elements:
             if isinstance(e, Bracket):
-                if e.is_ripe():
-                    content = e.content_words()
+                if e.ripe:
+                    content = e.elements
                     if content not in seen:
                         seen.add(content)
-                        out.append(content)
+                        out.append(content)  # type: ignore[arg-type]
                 else:
                     walk(e.elements)
 
@@ -110,13 +110,26 @@ def _substitute(elements: Sequence[Element],
     new: list[Element] = []
     for e in elements:
         if isinstance(e, Bracket):
-            if e.is_ripe():
-                new.extend(assignment[e.content_words()])
+            if e.ripe:
+                new.extend(assignment[e.elements])  # type: ignore[index]
             else:
                 new.append(Bracket(_substitute(e.elements, assignment)))
         else:
             new.append(e)
     return tuple(new)
+
+
+def _choices(s: Statement,
+             pool: Sequence[Statement]) -> dict[WordSeq, list[WordSeq]]:
+    """The sorted endings each ripe content class of `s` can take from
+    `pool`, in first-occurrence order; empty when some class has none."""
+    choices: dict[WordSeq, list[WordSeq]] = {}
+    for content in ripe_contents(s):
+        endings = sorted(match_endings(content, pool))
+        if not endings:
+            return {}
+        choices[content] = endings
+    return choices
 
 
 def expand_statement(s: Statement, pool: Iterable[Statement]) -> list[Statement]:
@@ -126,20 +139,12 @@ def expand_statement(s: Statement, pool: Iterable[Statement]) -> list[Statement]
     any class has no match the statement produces nothing this round
     (all-or-nothing; it may succeed against a richer pool later).
     """
-    contents = ripe_contents(s)
-    if not contents:
-        return []
-    pool = list(pool)
-    choice_lists: list[list[WordSeq]] = []
-    for content in contents:
-        endings = sorted(match_endings(content, pool))
-        if not endings:
-            return []
-        choice_lists.append(endings)
+    choices = _choices(s, list(pool))
     results: list[Statement] = []
-    for combo in product(*choice_lists):
-        assignment = dict(zip(contents, combo))
-        elements = _substitute(s.elements, assignment)
+    if not choices:
+        return results
+    for combo in product(*choices.values()):
+        elements = _substitute(s.elements, dict(zip(choices, combo)))
         if elements:  # a lone removed guard could leave nothing
             results.append(Statement(elements))
     return results
@@ -155,41 +160,35 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     pool: dict[Statement, None] = {}
     residual: dict[Statement, None] = {}
     for st in p:
-        (pool if st.is_bracket_free() else residual)[st] = None
+        (pool if st.bracket_free else residual)[st] = None
 
     flags = TruncationFlags()
     rounds_used = 0
     fixpoint = not residual
     while not fixpoint and rounds_used < limits.max_rounds:
         snapshot = list(pool)
-        fresh_bf: list[Statement] = []
-        fresh_res: list[Statement] = []
-        queued: set[Statement] = set()
+        fresh: dict[Statement, None] = {}
         capped = False
         for st in residual:
             for out in expand_statement(st, snapshot):
-                if out in pool or out in residual or out in queued:
+                if out in pool or out in residual or out in fresh:
                     continue
                 if out.token_count() > limits.max_tokens_per_statement:
                     flags.tokens = True
                     continue
-                if len(pool) + len(residual) + len(queued) >= limits.max_statements:
+                if len(pool) + len(residual) + len(fresh) >= limits.max_statements:
                     flags.statements = True
                     capped = True
                     break
-                queued.add(out)
-                (fresh_bf if out.is_bracket_free() else fresh_res).append(out)
+                fresh[out] = None
             if capped:
                 break
         rounds_used += 1
-        for st in fresh_bf:
-            pool[st] = None
-        for st in fresh_res:
-            residual[st] = None
+        for st in fresh:
+            (pool if st.bracket_free else residual)[st] = None
         if capped:
             break
-        if not fresh_bf and not fresh_res:
-            fixpoint = True
+        fixpoint = not fresh
     if not fixpoint and not flags.statements and rounds_used >= limits.max_rounds:
         flags.rounds = True
 
@@ -209,10 +208,10 @@ def sample(p: Program, limits: ExpansionLimits, seed: int,
     Statements that fail to ground within the depth bound are skipped; the
     attempt budget caps the total work so degenerate programs terminate.
     """
-    bracketed = [st for st in p if not st.is_bracket_free()]
+    bracketed = [st for st in p if not st.bracket_free]
     if not bracketed:
         raise NoBracketedStatements("program has no bracketed statements")
-    pool = sorted(closure(p, limits).bracket_free, key=str)
+    pool = closure(p, limits).bracket_free
     rng = random.Random(seed)
     results: list[Statement] = []
     attempts = 0
@@ -221,23 +220,18 @@ def sample(p: Program, limits: ExpansionLimits, seed: int,
         attempts += 1
         st = rng.choice(bracketed)
         depth = 0
-        while not st.is_bracket_free() and depth < limits.max_rounds:
-            contents = ripe_contents(st)
-            assignment: dict[WordSeq, WordSeq] = {}
-            for content in contents:
-                endings = sorted(match_endings(content, pool))
-                if not endings:
-                    break
-                assignment[content] = rng.choice(endings)
-            if len(assignment) < len(contents):
+        while not st.bracket_free and depth < limits.max_rounds:
+            choices = _choices(st, pool)
+            if not choices:
                 break
-            elements = _substitute(st.elements, assignment)
+            elements = _substitute(
+                st.elements, {c: rng.choice(e) for c, e in choices.items()})
             if not elements:
                 break
             st = Statement(elements)
             if st.token_count() > limits.max_tokens_per_statement:
                 break
             depth += 1
-        if st.is_bracket_free() and st.token_count() <= limits.max_tokens_per_statement:
+        if st.bracket_free and st.token_count() <= limits.max_tokens_per_statement:
             results.append(st)
     return results

@@ -9,7 +9,7 @@ everything else splits on whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 from .errors import EmptyStatement, UnbalancedBrackets
@@ -24,15 +24,11 @@ class Bracket:
     """A bracketed (possibly empty, possibly nested) element sequence."""
 
     elements: tuple[Element, ...] = ()
+    #: No nested bracket inside, so `elements` are the content words.
+    ripe: bool = field(init=False, compare=False, repr=False)
 
-    def is_ripe(self) -> bool:
-        """True when the content holds no nested bracket."""
-        return all(isinstance(e, str) for e in self.elements)
-
-    def content_words(self) -> tuple[str, ...]:
-        """The content as words; only meaningful for ripe brackets."""
-        assert self.is_ripe()
-        return self.elements  # type: ignore[return-value]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ripe", _all_words(self.elements))
 
     def __str__(self) -> str:
         return "[" + " ".join(str(e) for e in self.elements) + "]"
@@ -43,14 +39,17 @@ class Statement:
     """One line of a BC program or corpus."""
 
     elements: tuple[Element, ...]
+    #: No element is a bracket, so `elements` are the words.
+    bracket_free: bool = field(init=False, compare=False, repr=False)
 
-    def is_bracket_free(self) -> bool:
-        return all(isinstance(e, str) for e in self.elements)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bracket_free", _all_words(self.elements))
 
     @property
     def words(self) -> tuple[str, ...]:
-        """Top-level words; equals all words for bracket-free statements."""
-        assert self.is_bracket_free()
+        """The words of a bracket-free statement; ValueError otherwise."""
+        if not self.bracket_free:
+            raise ValueError(f"statement has brackets: {self}")
         return self.elements  # type: ignore[return-value]
 
     def token_count(self) -> int:
@@ -65,6 +64,10 @@ class Statement:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+def _all_words(elements: tuple[Element, ...]) -> bool:
+    return all(isinstance(e, str) for e in elements)
 
 
 def _depth(elements: Iterable[Element]) -> int:
@@ -114,20 +117,19 @@ class Program:
 
     Duplicates in the input are dropped silently; the count of dropped
     lines is kept for diagnostics.  Order is preserved because it fixes
-    the deterministic expansion order of the engine.
+    the deterministic expansion order of the engine.  The canonical text
+    is built once, for `str`, `program_size` and the hash.
     """
 
     def __init__(self, statements: Iterable[Statement]):
-        seen: dict[str, Statement] = {}
-        dropped = 0
-        for s in statements:
-            key = str(s)
-            if key in seen:
-                dropped += 1
-            else:
-                seen[key] = s
-        self.statements: tuple[Statement, ...] = tuple(seen.values())
-        self.duplicates_dropped = dropped
+        index: dict[Statement, None] = {}
+        given = 0
+        for given, s in enumerate(statements, 1):
+            index[s] = None
+        self._index = index
+        self.statements: tuple[Statement, ...] = tuple(index)
+        self.duplicates_dropped = given - len(index)
+        self._text = "\n".join(str(s) for s in self.statements)
 
     def __iter__(self) -> Iterator[Statement]:
         return iter(self.statements)
@@ -136,16 +138,16 @@ class Program:
         return len(self.statements)
 
     def __contains__(self, s: Statement) -> bool:
-        return s in self.statements
+        return s in self._index
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Program) and self.statements == other.statements
 
     def __hash__(self) -> int:
-        return hash(self.statements)
+        return hash(self._text)
 
     def __str__(self) -> str:
-        return "\n".join(str(s) for s in self.statements)
+        return self._text
 
     def __repr__(self) -> str:
         return f"Program({len(self.statements)} statements)"
@@ -153,7 +155,7 @@ class Program:
 
 def program_size(p: Program) -> int:
     """Character count of the canonical serialization (newline-joined)."""
-    return len(str(p)) if len(p) else 0
+    return len(str(p))
 
 
 def parse_program(text: str) -> Program:

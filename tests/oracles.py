@@ -2,7 +2,62 @@
 
 from itertools import product
 
-from bracketc import CFG, FrontierPoint, HornProgram, Statement, Var
+from bracketc import (CFG, ClosureResult, ExpansionLimits, FrontierPoint,
+                      HornProgram, Program, Statement, Var, expand_statement)
+from bracketc.engine import TruncationFlags
+
+
+def closure_reference(p: Program, limits: ExpansionLimits) -> ClosureResult:
+    """The closure loop as first written: every round expands each residual
+    statement against the round-start pool and queues new bracket-free and
+    residual statements in separate lists."""
+    pool: dict[Statement, None] = {}
+    residual: dict[Statement, None] = {}
+    for st in p:
+        (pool if st.bracket_free else residual)[st] = None
+
+    flags = TruncationFlags()
+    rounds_used = 0
+    fixpoint = not residual
+    while not fixpoint and rounds_used < limits.max_rounds:
+        snapshot = list(pool)
+        fresh_bf: list[Statement] = []
+        fresh_res: list[Statement] = []
+        queued: set[Statement] = set()
+        capped = False
+        for st in residual:
+            for out in expand_statement(st, snapshot):
+                if out in pool or out in residual or out in queued:
+                    continue
+                if out.token_count() > limits.max_tokens_per_statement:
+                    flags.tokens = True
+                    continue
+                if len(pool) + len(residual) + len(queued) >= limits.max_statements:
+                    flags.statements = True
+                    capped = True
+                    break
+                queued.add(out)
+                (fresh_bf if out.bracket_free else fresh_res).append(out)
+            if capped:
+                break
+        rounds_used += 1
+        for st in fresh_bf:
+            pool[st] = None
+        for st in fresh_res:
+            residual[st] = None
+        if capped:
+            break
+        if not fresh_bf and not fresh_res:
+            fixpoint = True
+    if not fixpoint and not flags.statements and rounds_used >= limits.max_rounds:
+        flags.rounds = True
+
+    return ClosureResult(
+        bracket_free=tuple(pool),
+        residual=tuple(residual),
+        truncated=flags,
+        rounds_used=rounds_used,
+    )
 
 
 def forward_chain(h: HornProgram) -> set[tuple[str, ...]]:

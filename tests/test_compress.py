@@ -56,7 +56,7 @@ def test_induce_slots_category_avoids_vocab():
     program = induce_slots(corpus)
     # the fresh category word must not collide with the corpus word CAT0
     fresh = {s.words[0] for s in program
-             if s.is_bracket_free() and s not in corpus}
+             if s.bracket_free and s not in corpus}
     assert fresh and "CAT0" not in fresh
 
 

@@ -47,6 +47,17 @@ def test_cfg_to_bc_alias_clash():
         cfg_to_bc(g)
 
 
+@pytest.mark.parametrize("text", ["S T -> a", "S -> [a]"])
+def test_parse_cfg_rejects_symbol_that_is_not_one_word(text):
+    with pytest.raises(ValueError):
+        parse_cfg(text)
+
+
+def test_parse_cfg_rejects_arrow_symbol():
+    with pytest.raises(ReservedSymbolClash):
+        parse_cfg("S -> x -> y")
+
+
 def test_cfg_enumerate_small():
     g = parse_cfg(PALINDROME)
     assert cfg_enumerate(g, 2) == {(), ("A", "A"), ("B", "B")}
@@ -157,9 +168,9 @@ def test_horn_non_ending_variable():
 def test_horn_alias_hygiene(sibling_horn):
     vocab = sibling_horn.vocabulary()
     program = horn_to_bc(sibling_horn)
-    heads = {s.words[0] for s in program if s.is_bracket_free()}
+    heads = {s.words[0] for s in program if s.bracket_free}
     alias_heads = {str(s).split()[0] for s in program
-                   if not s.is_bracket_free()} - {"SIBLING"}
+                   if not s.bracket_free} - {"SIBLING"}
     assert alias_heads == {"FC2"}
     assert not alias_heads & vocab
     assert not heads & alias_heads
@@ -172,7 +183,7 @@ def test_horn_alias_avoids_vocabulary():
                     (Atom("FATHER_CHILD", ("TOM", Var("X"))),
                      Atom("FATHER_CHILD", ("TOM", Var("Y")))))
     program = horn_to_bc(HornProgram(facts, (rule,)))
-    aliases = {str(s).split()[0] for s in program if not s.is_bracket_free()}
+    aliases = {str(s).split()[0] for s in program if not s.bracket_free}
     assert "FC2" not in aliases - {"SIBLING"}
     assert "FC3" in {str(s).split()[0] for s in program}
 
@@ -186,6 +197,12 @@ def test_parse_horn_file():
 def test_parse_horn_rejects_fact_with_variable():
     with pytest.raises(ValueError):
         parse_horn("girl(X).")
+
+
+@pytest.mark.parametrize("text", ["p([a]).", "q(b c).", "p q.", "p [q](a)."])
+def test_parse_horn_rejects_term_that_is_not_one_word(text):
+    with pytest.raises(ValueError):
+        parse_horn(text)
 
 
 def test_empty_bracket_prolog_variant_golden():

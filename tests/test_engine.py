@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bracketc import (ExpansionLimits, NoBracketedStatements, Program,
-                      closure, expand_statement, match_endings, parse_program,
-                      parse_statement, ripe_contents, sample, words)
+                      cfg_to_bc, closure, expand_statement, horn_to_bc,
+                      match_endings, parse_program, parse_statement,
+                      ripe_contents, sample, words)
+
+from oracles import closure_reference, random_cfg
+from strategies import CLOSURE_PROGRAM
 
 LIMITS = ExpansionLimits()
 
@@ -196,6 +201,44 @@ def test_closure_truncation_flags(addition_program):
     assert len(r.bracket_free) + len(r.residual) <= 30
 
 
+def _same_closure(program, limits):
+    got = closure(program, limits)
+    want = closure_reference(program, limits)
+    assert got.bracket_free == want.bracket_free
+    assert got.residual == want.residual
+    assert got.truncated == want.truncated
+    assert got.rounds_used == want.rounds_used
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(CLOSURE_PROGRAM, st.integers(1, 8), st.integers(1, 30),
+       st.integers(1, 8))
+def test_closure_matches_reference_random(program, rounds, statements,
+                                          tokens):
+    _same_closure(program, ExpansionLimits(rounds, statements, tokens))
+
+
+# Grammars from these seeds close in under 0.2 s at 8 tokens; some larger
+# seeds or token limits build millions of expansions per closure.
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 299))
+def test_closure_matches_reference_cfg(seed):
+    program = cfg_to_bc(random_cfg(random.Random(seed)))
+    _same_closure(program, ExpansionLimits(40, 200_000, 8))
+
+
+@pytest.mark.parametrize("limits,flag", [
+    (ExpansionLimits(2, 100_000, 7), "rounds"),
+    (ExpansionLimits(100, 30, 7), "statements"),
+    (ExpansionLimits(100, 100_000, 4), "tokens"),
+])
+def test_closure_matches_reference_tight_limits(addition_program, limits,
+                                                flag):
+    r = _same_closure(addition_program, limits)
+    assert getattr(r.truncated, flag)
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -219,3 +262,28 @@ def test_sample_members_of_closure(sibling_horn):
 def test_sample_needs_brackets():
     with pytest.raises(NoBracketedStatements):
         sample(parse_program("A B\nC D"), LIMITS, seed=0, count=1)
+
+
+def test_sample_golden(sibling_horn, addition_program):
+    program = horn_to_bc(sibling_horn)
+    goldens = {
+        0: ["SIBLING SALLY ERICA", "SIBLING SALLY SALLY", "SIBLING SALLY POLY",
+            "FC2 JAMES", "SIBLING JAMES ERICA"],
+        1: ["FC2 ERICA", "SIBLING ERICA SALLY", "SIBLING SALLY SALLY",
+            "FC2 ERICA", "SIBLING ERICA SALLY"],
+        17: ["SIBLING POLY POLY", "SIBLING JAMES POLY", "FC2 ERICA",
+             "FC2 SALLY", "SIBLING POLY POLY"],
+    }
+    for seed, want in goldens.items():
+        assert [str(s) for s in sample(program, LIMITS, seed, 5)] == want
+    limits = ExpansionLimits(max_tokens_per_statement=7)
+    assert [str(s) for s in sample(addition_program, limits, 3, 8)] == [
+        "BEFORE 8 IS 7", "ANOTHER NUMBER 8", "9 + 0 = 9", "1 + 8 = 9",
+        "2 + 2 = 4", "NUMBER 10", "ANOTHER NUMBER 0", "ANOTHER NUMBER 6"]
+
+
+def test_sample_draws_nothing_for_an_ungroundable_statement():
+    # Y [A] [NOPE] cannot ground, so picking it draws no ending for [A]
+    program = parse_program("A a1\nA a2\nA a3\nA a4\nX [A]\nY [A] [NOPE]")
+    assert [str(s) for s in sample(program, LIMITS, 0, 4)] == [
+        "X a3", "X a2", "X a1", "X a3"]

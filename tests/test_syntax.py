@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bracketc import (Bracket, EmptyStatement, Program, Statement,
                       UnbalancedBrackets, parse_program, parse_statement,
                       program_size, serialize_statement, words)
+
+from strategies import PROGRAM, STATEMENT
 
 
 def test_parse_bracketed():
@@ -101,3 +104,38 @@ def test_program_deduplicates():
 def test_program_order_preserved():
     p = parse_program("C D\nA B")
     assert [str(s) for s in p] == ["C D", "A B"]
+
+
+def test_words_of_bracketed_statement_raises():
+    with pytest.raises(ValueError):
+        parse_statement("A [B]").words
+
+
+def _all_words(elements):
+    return all(isinstance(e, str) for e in elements)
+
+
+def _brackets(elements):
+    for e in elements:
+        if isinstance(e, Bracket):
+            yield e
+            yield from _brackets(e.elements)
+
+
+@given(STATEMENT)
+def test_stored_facts_match_elements(s):
+    assert s.bracket_free == _all_words(s.elements)
+    for b in _brackets(s.elements):
+        assert b.ripe == _all_words(b.elements)
+
+
+@given(PROGRAM, STATEMENT, st.randoms(use_true_random=False))
+def test_program_properties(p, s, rng):
+    assert parse_program(str(p)) == p
+    with_dupes = list(p) + rng.sample(list(p), len(p) // 2)
+    again = Program(with_dupes)
+    assert again == p and hash(again) == hash(p)
+    assert again.duplicates_dropped == len(p) // 2
+    for probe in (s, *p):
+        assert (probe in p) == any(probe == t for t in p.statements)
+    assert program_size(p) == len(str(p))
