@@ -16,14 +16,16 @@ from .corpus import TokenizerOptions, load_corpus
 from .encoders import cfg_to_bc, horn_to_bc, parse_cfg, parse_horn
 from .engine import ExpansionLimits, closure, sample
 from .errors import BCError
-from .metrics import CSV_HEADER, evaluate
+from .metrics import CSV_HEADER, FrontierPoint, evaluate
 from .syntax import Program, Statement, load_program, program_size
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-rounds", type=int, default=100)
-    parser.add_argument("--max-statements", type=int, default=100_000)
-    parser.add_argument("--max-tokens", type=int, default=64)
+    parser.add_argument("--max-rounds", type=int, default=ExpansionLimits.max_rounds)
+    parser.add_argument("--max-statements", type=int,
+                        default=ExpansionLimits.max_statements)
+    parser.add_argument("--max-tokens", type=int,
+                        default=ExpansionLimits.max_tokens_per_statement)
 
 
 def _limits(args: argparse.Namespace) -> ExpansionLimits:
@@ -42,10 +44,10 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda", type=float, default=0.5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--beam", type=int, default=8)
-    parser.add_argument("--iterations", type=int, default=8)
+    parser.add_argument("--lambda", type=float, default=SearchConfig.lambda_accuracy)
+    parser.add_argument("--seed", type=int, default=SearchConfig.seed)
+    parser.add_argument("--beam", type=int, default=SearchConfig.beam_width)
+    parser.add_argument("--iterations", type=int, default=SearchConfig.max_iterations)
     _add_limit_flags(parser)
     _add_corpus_flags(parser)
 
@@ -131,7 +133,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                       result.truncated.any)
     if args.csv:
         print(CSV_HEADER)
-        from .metrics import FrontierPoint
         print(FrontierPoint(report.size_chars, report, "bc").as_csv_row())
     else:
         for line in _truncation_header(result, limits):
@@ -166,8 +167,9 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 def _cmd_frontier(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus, _tokenizer(args))
     budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
+    # frontier_sweep rejects an empty list and sets each run's budget
     points = frontier_sweep(corpus, budgets,
-                            _search_config(args, max(budgets)))
+                            _search_config(args, max(budgets, default=1)))
     skipped = len(budgets) + 3 - len(points)
     if skipped:
         print(f"# {skipped} budget(s) skipped: too small for any program",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .engine import ExpansionLimits, closure
+from .engine import ExpansionLimits, closure, ripe_contents
 from .errors import BudgetTooSmall
 from .metrics import FrontierPoint, MetricsReport, evaluate
 from .syntax import Bracket, Element, Program, Statement, program_size
@@ -36,6 +36,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.budget_chars < 1:
             raise ValueError("budget_chars must be >= 1")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         if self.lambda_accuracy < 0:
@@ -67,6 +69,16 @@ def _common_prefix(a: Sequence[str], b: Sequence[str]) -> int:
     return n
 
 
+def _middle(t: tuple[str, ...], prefix: tuple[Element, ...],
+            suffix: tuple[Element, ...]) -> tuple[str, ...] | None:
+    """The span of `t` between `prefix` and `suffix`, or None unless `t`
+    starts with `prefix` and ends with `suffix` without overlap."""
+    end = len(t) - len(suffix)
+    if end < len(prefix) or t[:len(prefix)] != prefix or t[end:] != suffix:
+        return None
+    return t[len(prefix):end]
+
+
 def induce_slots(corpus: Sequence[Statement]) -> Program:
     """Greedy single-slot factoring of a corpus into templates + categories.
 
@@ -89,15 +101,7 @@ def induce_slots(corpus: Sequence[Statement]) -> Program:
 
     def members(sig: tuple[tuple[str, ...], tuple[str, ...]],
                 pool: Iterable[int]) -> list[int]:
-        prefix, suffix = sig
-        k = len(prefix) + len(suffix)
-        out = []
-        for i in pool:
-            t = sents[i]
-            if len(t) >= k and t[: len(prefix)] == prefix and \
-                    (not suffix or t[len(t) - len(suffix):] == suffix):
-                out.append(i)
-        return out
+        return [i for i in pool if _middle(sents[i], *sig) is not None]
 
     ordered = sorted(
         sigs,
@@ -113,10 +117,7 @@ def induce_slots(corpus: Sequence[Statement]) -> Program:
         prefix, suffix = sig
         cat = _fresh_category(vocab, cat_start)
         cat_start = int(cat[3:]) + 1
-        for i in group:
-            t = sents[i]
-            middle = t[len(prefix): len(t) - len(suffix)]
-            statements.append(Statement((cat, *middle)))
+        statements.extend(Statement((cat, *_middle(sents[i], *sig))) for i in group)
         statements.append(Statement(prefix + (Bracket((cat,)),) + suffix))
         unassigned = [i for i in unassigned if i not in group]
     for i in unassigned:
@@ -128,20 +129,11 @@ def induce_slots(corpus: Sequence[Statement]) -> Program:
 # Move grammar
 
 
-def _bracket_words(elements: Iterable[Element], out: set[str]) -> None:
-    for e in elements:
-        if isinstance(e, Bracket):
-            if len(e.elements) == 1 and isinstance(e.elements[0], str):
-                out.add(e.elements[0])
-            _bracket_words(e.elements, out)
-
-
 def _categories(prog: Program) -> list[str]:
     """Words that occur both as a one-word bracket content and as the head
     of a bracket-free statement."""
-    in_brackets: set[str] = set()
-    for st in prog:
-        _bracket_words(st.elements, in_brackets)
+    in_brackets = {c[0] for st in prog for c in ripe_contents(st)
+                   if len(c) == 1}
     heads = {st.words[0] for st in prog if st.bracket_free and st.words}
     return sorted(in_brackets & heads)
 
@@ -200,17 +192,13 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
         if len(br.elements) != 1 or br.elements[0] not in cats:
             continue
         cat = br.elements[0]
-        prefix = st.elements[:i]
-        suffix = st.elements[i + 1:]
-        k = len(prefix) + len(suffix)
         for sent in corpus:
-            t = sent.words
-            if len(t) >= k and t[: len(prefix)] == prefix and \
-                    (not suffix or t[len(t) - len(suffix):] == suffix):
-                middle = t[len(prefix): len(t) - len(suffix)]
-                variant = Statement((cat, *middle))
-                if variant not in prog:
-                    emit(stmts + [variant])
+            middle = _middle(sent.words, st.elements[:i], st.elements[i + 1:])
+            if middle is None:
+                continue
+            variant = Statement((cat, *middle))
+            if variant not in prog:
+                emit(stmts + [variant])
 
     # (e) factor a constant token into an existing category slot; the alias
     # device keeps a repeated category independent under the same-content rule
@@ -290,12 +278,11 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
             f"budget {config.budget_chars} fits no single corpus statement")
 
     c_set = frozenset(corpus)
-    seen: dict[Program, Candidate] = {}
+    seen: set[Program] = set()
 
     def score(program: Program) -> Candidate:
-        if program not in seen:
-            seen[program] = evaluate_program(program, c_set, config)
-        return seen[program]
+        seen.add(program)
+        return evaluate_program(program, c_set, config)
 
     starts = [_greedy_prefix(corpus, config.budget_chars), induce_slots(corpus)]
     beam = sorted(map(score, dict.fromkeys(starts)), key=_rank)

@@ -193,13 +193,16 @@ class HornProgram:
 
     def vocabulary(self) -> set[str]:
         vocab: set[str] = set()
-        for atom in list(self.facts) + [a for r in self.rules
-                                        for a in (r.head, *r.body)]:
+        for atom in _atoms(self):
             vocab.add(atom.pred)
             for arg in atom.args:
                 if isinstance(arg, str):
                     vocab.add(arg)
         return vocab
+
+
+def _atoms(h: HornProgram) -> list[Atom]:
+    return list(h.facts) + [a for r in h.rules for a in (r.head, *r.body)]
 
 
 def _parse_atom(text: str) -> Atom:
@@ -287,12 +290,18 @@ def horn_to_bc(h: HornProgram) -> Program:
     """Render facts and rules as statements; prefix-recoverable rules only.
 
     A body atom binds its final argument when that argument is a new
-    variable and every earlier argument is a constant or an already-bound
-    variable; anything else raises UnsupportedRule.
+    variable, every earlier argument is a constant or an already-bound
+    variable, and the head or a later body atom uses the variable.  Each
+    predicate must keep one arity, so that a binder matches only facts of
+    its own predicate.  Anything else raises UnsupportedRule.
     """
     statements: list[Statement] = []
     vocab = h.vocabulary()
     used_aliases: set[str] = set()
+    arity: dict[str, int] = {}
+    for atom in _atoms(h):
+        if arity.setdefault(atom.pred, len(atom.args)) != len(atom.args):
+            raise UnsupportedRule(f"predicate {atom.pred!r} has two arities")
 
     for fact in h.facts:
         statements.append(Statement((fact.pred, *fact.args)))  # type: ignore[arg-type]
@@ -300,7 +309,7 @@ def horn_to_bc(h: HornProgram) -> Program:
     for rule in h.rules:
         ctx = _RuleContext()
         guards: list[Bracket] = []
-        for atom in rule.body:
+        for i, atom in enumerate(rule.body):
             new_vars = [v for v in atom.variables() if v not in ctx.binders]
             if not new_vars:
                 guards.append(Bracket(_render_args((atom.pred, *atom.args), ctx)))
@@ -309,6 +318,8 @@ def horn_to_bc(h: HornProgram) -> Program:
                 raise UnsupportedRule(
                     f"cannot recover variables of {atom.pred!r} as an ending")
             var = new_vars[0]
+            if not any(var in a.args for a in (rule.head, *rule.body[i + 1:])):
+                raise UnsupportedRule(f"body variable {var.name!r} is used nowhere else")
             content = _render_args((atom.pred, *atom.args[:-1]), ctx)
             if content in ctx.content_owner and ctx.content_owner[content] != var:
                 alias = _alias_word(atom.pred, 2, vocab | used_aliases)

@@ -153,48 +153,41 @@ def expand_statement(s: Statement, pool: Iterable[Statement]) -> list[Statement]
 def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     """Iterate expansion rounds to a fixpoint or a limit.
 
-    Each round matches every bracketed statement (program order, then
-    derivation insertion order) against the pool as of round start, so the
-    result does not depend on within-round processing order.
+    `known` holds every retained statement once, program order then
+    derivation order.  Each round matches every bracketed statement against
+    the bracket-free pool as of round start, so the result does not depend
+    on within-round processing order.
     """
-    pool: dict[Statement, None] = {}
-    residual: dict[Statement, None] = {}
-    for st in p:
-        (pool if st.bracket_free else residual)[st] = None
-
+    known = dict.fromkeys(p)
     flags = TruncationFlags()
     rounds_used = 0
-    fixpoint = not residual
-    while not fixpoint and rounds_used < limits.max_rounds:
-        snapshot = list(pool)
-        fresh: dict[Statement, None] = {}
-        capped = False
+    while not flags.rounds:
+        pool = [st for st in known if st.bracket_free]
+        residual = [st for st in known if not st.bracket_free]
+        if not residual:
+            break
+        size = len(known)
         for st in residual:
-            for out in expand_statement(st, snapshot):
-                if out in pool or out in residual or out in fresh:
+            for out in expand_statement(st, pool):
+                if out in known:
                     continue
                 if out.token_count() > limits.max_tokens_per_statement:
                     flags.tokens = True
                     continue
-                if len(pool) + len(residual) + len(fresh) >= limits.max_statements:
+                if len(known) >= limits.max_statements:
                     flags.statements = True
-                    capped = True
                     break
-                fresh[out] = None
-            if capped:
+                known[out] = None
+            if flags.statements:
                 break
         rounds_used += 1
-        for st in fresh:
-            (pool if st.bracket_free else residual)[st] = None
-        if capped:
+        if flags.statements or len(known) == size:
             break
-        fixpoint = not fresh
-    if not fixpoint and not flags.statements and rounds_used >= limits.max_rounds:
-        flags.rounds = True
+        flags.rounds = rounds_used == limits.max_rounds
 
     return ClosureResult(
-        bracket_free=tuple(pool),
-        residual=tuple(residual),
+        bracket_free=tuple(st for st in known if st.bracket_free),
+        residual=tuple(st for st in known if not st.bracket_free),
         truncated=flags,
         rounds_used=rounds_used,
     )
@@ -208,6 +201,8 @@ def sample(p: Program, limits: ExpansionLimits, seed: int,
     Statements that fail to ground within the depth bound are skipped; the
     attempt budget caps the total work so degenerate programs terminate.
     """
+    if count < 0:
+        raise ValueError("count must be >= 0")
     bracketed = [st for st in p if not st.bracket_free]
     if not bracketed:
         raise NoBracketedStatements("program has no bracketed statements")

@@ -3,7 +3,8 @@ so that random programs share prefixes and actually derive statements."""
 
 from hypothesis import strategies as st
 
-from bracketc import Bracket, Program, Statement
+from bracketc import (Atom, Bracket, HornProgram, HornRule, Program,
+                      Statement, Var)
 
 WORD = st.sampled_from(("A", "B", "C"))
 
@@ -35,3 +36,22 @@ _WORDS = st.lists(WORD, min_size=1, max_size=3).map(
     lambda ws: Statement(tuple(ws)))
 CLOSURE_PROGRAM = st.lists(_WORDS | CLOSURE_STATEMENT, min_size=2,
                            max_size=8).map(Program)
+
+# Horn sets over three constants and predicates of one arity each, so that
+# a binder bracket matches only facts of its own predicate.
+_ARITY = {"p": 0, "q": 1, "r": 2, "s": 2}
+_CONSTANT = st.sampled_from(("a", "b", "c"))
+_TERM = _CONSTANT | st.sampled_from(("X", "Y", "Z")).map(Var)
+
+
+def _atom(term):
+    return st.sampled_from(sorted(_ARITY)).flatmap(
+        lambda pred: st.tuples(*[term] * _ARITY[pred]).map(
+            lambda args: Atom(pred, args)))
+
+
+_RULE = st.builds(HornRule, _atom(_TERM),
+                  st.lists(_atom(_TERM), min_size=1, max_size=3).map(tuple))
+HORN_PROGRAM = st.builds(HornProgram,
+                         st.lists(_atom(_CONSTANT), max_size=6).map(tuple),
+                         st.lists(_RULE, min_size=1, max_size=3).map(tuple))

@@ -7,6 +7,7 @@ from bracketc import (BudgetTooSmall, ExpansionLimits, Program, SearchConfig,
                       closure, compress, evaluate, frontier_sweep,
                       induce_slots, neighbors, parse_statement, program_size,
                       reference_points, words)
+from bracketc.cli import main
 from bracketc.compress import evaluate_program, _greedy_prefix
 
 
@@ -204,3 +205,15 @@ def test_frontier_sweep_skips_tiny_budget(templated_corpus):
     raw = program_size(Program(templated_corpus))
     pts = frontier_sweep(templated_corpus, [2, raw], config(raw))
     assert len(pts) == 4  # tiny budget skipped, references still present
+
+
+def test_search_config_rejects_negative_iterations():
+    with pytest.raises(ValueError):
+        SearchConfig(budget_chars=10, max_iterations=-1)
+
+
+def test_frontier_cli_reports_empty_budgets(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("GIRL MARY\n", encoding="utf-8")
+    assert main(["frontier", str(corpus), "--budgets", "", "--csv", "-"]) == 1
+    assert "budgets must be non-empty and positive" in capsys.readouterr().err

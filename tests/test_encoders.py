@@ -165,6 +165,20 @@ def test_horn_non_ending_variable():
         horn_to_bc(h)
 
 
+def test_horn_unused_body_variable():
+    # the binder of X would appear nowhere, leaving the unconditional fact H B
+    h = parse_horn("r(b, c).\nh(b) :- r(a, X).")
+    with pytest.raises(UnsupportedRule):
+        horn_to_bc(h)
+
+
+def test_horn_predicate_with_two_arities():
+    # the binder [p] would also match p(b, c) and derive h b c
+    h = parse_horn("p(a).\np(b, c).\nh(X) :- p(X).")
+    with pytest.raises(UnsupportedRule):
+        horn_to_bc(h)
+
+
 def test_horn_alias_hygiene(sibling_horn):
     vocab = sibling_horn.vocabulary()
     program = horn_to_bc(sibling_horn)

@@ -1,15 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from bracketc import (ExpansionLimits, NoBracketedStatements, Program,
-                      cfg_to_bc, closure, expand_statement, horn_to_bc,
-                      match_endings, parse_program, parse_statement,
-                      ripe_contents, sample, words)
+                      UnsupportedRule, cfg_to_bc, closure, expand_statement,
+                      horn_to_bc, match_endings, parse_program,
+                      parse_statement, ripe_contents, sample, words)
 
-from oracles import closure_reference, random_cfg
-from strategies import CLOSURE_PROGRAM
+from oracles import closure_reference, forward_chain, random_cfg
+from strategies import CLOSURE_PROGRAM, HORN_PROGRAM
 
 LIMITS = ExpansionLimits()
 
@@ -228,6 +228,20 @@ def test_closure_matches_reference_cfg(seed):
     _same_closure(program, ExpansionLimits(40, 200_000, 8))
 
 
+@settings(max_examples=200, deadline=None)
+@given(HORN_PROGRAM)
+def test_closure_matches_reference_and_forward_chaining_horn(h):
+    try:
+        program = horn_to_bc(h)
+    except UnsupportedRule:
+        reject()
+    r = _same_closure(program, LIMITS)
+    assert not r.truncated.any
+    preds = {a.pred for a in h.facts} | {rule.head.pred for rule in h.rules}
+    assert {s.words for s in r.bracket_free
+            if s.words[0] in preds} == forward_chain(h)
+
+
 @pytest.mark.parametrize("limits,flag", [
     (ExpansionLimits(2, 100_000, 7), "rounds"),
     (ExpansionLimits(100, 30, 7), "statements"),
@@ -262,6 +276,11 @@ def test_sample_members_of_closure(sibling_horn):
 def test_sample_needs_brackets():
     with pytest.raises(NoBracketedStatements):
         sample(parse_program("A B\nC D"), LIMITS, seed=0, count=1)
+
+
+def test_sample_rejects_negative_count(girls_ponies):
+    with pytest.raises(ValueError):
+        sample(girls_ponies, LIMITS, seed=0, count=-3)
 
 
 def test_sample_golden(sibling_horn, addition_program):
