@@ -11,15 +11,17 @@ not load-bearing.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .engine import ExpansionLimits, closure, ripe_contents
 from .errors import BudgetTooSmall
 from .metrics import FrontierPoint, MetricsReport, evaluate
-from .syntax import Bracket, Element, Program, Statement, program_size
+from .syntax import (Bracket, Element, Program, Statement, fresh_word,
+                     program_size)
 
 _MAX_NEIGHBORS = 300
 
@@ -40,8 +42,8 @@ class SearchConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
-        if self.lambda_accuracy < 0:
-            raise ValueError("lambda_accuracy must be >= 0")
+        if not 0 <= self.lambda_accuracy < float("inf"):
+            raise ValueError("lambda_accuracy must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -53,13 +55,6 @@ class Candidate:
 
 # ---------------------------------------------------------------------------
 # Slot induction
-
-
-def _fresh_category(vocab: set[str], start: int = 0) -> str:
-    k = start
-    while f"CAT{k}" in vocab:
-        k += 1
-    return f"CAT{k}"
 
 
 def _common_prefix(a: Sequence[str], b: Sequence[str]) -> int:
@@ -97,7 +92,7 @@ def induce_slots(corpus: Sequence[Statement]) -> Program:
         s = min(s, min(len(a), len(b)) - p)
         if p + s < 2:
             continue
-        sigs[(a[:p], a[len(a) - s:] if s else ())] = None
+        sigs[(a[:p], a[len(a) - s:])] = None
 
     def members(sig: tuple[tuple[str, ...], tuple[str, ...]],
                 pool: Iterable[int]) -> list[int]:
@@ -109,14 +104,13 @@ def induce_slots(corpus: Sequence[Statement]) -> Program:
                          * (len(sig[0]) + len(sig[1])), sig))
     unassigned = list(range(len(sents)))
     statements: list[Statement] = []
-    cat_start = 0
     for sig in ordered:
         group = members(sig, unassigned)
         if len(group) < 2:
             continue
         prefix, suffix = sig
-        cat = _fresh_category(vocab, cat_start)
-        cat_start = int(cat[3:]) + 1
+        cat = fresh_word("CAT", vocab)
+        vocab.add(cat)
         statements.extend(Statement((cat, *_middle(sents[i], *sig))) for i in group)
         statements.append(Statement(prefix + (Bracket((cat,)),) + suffix))
         unassigned = [i for i in unassigned if i not in group]
@@ -156,10 +150,9 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
     prog = cand.program
     stmts = list(prog)
     cats = _categories(prog)
-    vocab = {w for s in corpus for w in s.words}
-    for st in stmts:
-        if st.bracket_free:
-            vocab.update(st.words)
+    # every word of the corpus and of the program, inside brackets too
+    taken = set(str(prog).replace("[", " ").replace("]", " ").split())
+    taken.update(w for s in corpus for w in s.words)
     results: dict[Program, None] = {}
 
     def emit(statements: Iterable[Statement]) -> None:
@@ -214,7 +207,7 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
                 extra: list[Statement] = []
                 if any(isinstance(x, Bracket) and x.elements == (cat,)
                        for x in st.elements):
-                    alias = _fresh_category(vocab | set(cats))
+                    alias = fresh_word("CAT", taken)
                     extra.append(Statement((alias, Bracket((cat,)))))
                     bracket = Bracket((alias,))
                 else:
@@ -250,12 +243,9 @@ def evaluate_program(program: Program, corpus: Iterable[Statement],
 
 def _greedy_prefix(corpus: Sequence[Statement], budget: int) -> Program:
     picked: list[Statement] = []
-    total = 0
     for sent in corpus:
-        extra = len(str(sent)) + (1 if picked else 0)
-        if total + extra <= budget:
+        if program_size(Program(picked + [sent])) <= budget:
             picked.append(sent)
-            total += extra
     return Program(picked)
 
 
@@ -285,25 +275,21 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
         return evaluate_program(program, c_set, config)
 
     starts = [_greedy_prefix(corpus, config.budget_chars), induce_slots(corpus)]
-    beam = sorted(map(score, dict.fromkeys(starts)), key=_rank)
-    beam = beam[: config.beam_width]
-    best = beam[0]
+    beam = heapq.nsmallest(config.beam_width,
+                           map(score, dict.fromkeys(starts)), key=_rank)
 
     rng = random.Random(config.seed)
     for _ in range(config.max_iterations):
-        produced = [score(prog) for cand in beam
+        # the new beam keeps the old one's best, so beam[0] is the best yet
+        produced = (score(prog) for cand in beam
                     for prog in neighbors(cand, corpus, config, rng)
-                    if prog not in seen]
-        if not produced:
-            break
-        merged = {c.program: c for c in beam + produced}
-        new_beam = sorted(merged.values(), key=_rank)[: config.beam_width]
-        if _rank(new_beam[0]) < _rank(best):
-            best = new_beam[0]
-        if [c.program for c in new_beam] == [c.program for c in beam]:
+                    if prog not in seen)
+        new_beam = heapq.nsmallest(config.beam_width, chain(beam, produced),
+                                   key=_rank)
+        if new_beam == beam:
             break
         beam = new_beam
-    return best
+    return beam[0]
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +302,12 @@ def reference_points(corpus: Sequence[Statement]) -> list[FrontierPoint]:
     corpus = list(dict.fromkeys(corpus))
     c_set = frozenset(corpus)
     half = corpus[: len(corpus) // 2]
-    vocab = {w for s in corpus for w in s.words}
+    taken = {w for s in corpus for w in s.words}
     novel: list[Statement] = []
-    i = 0
-    while len(novel) < len(half):
-        word = f"NOVEL{i}"
-        i += 1
-        if word not in vocab:
-            novel.append(Statement((word, word)))
+    for _ in half:
+        word = fresh_word("NOVEL", taken)
+        taken.add(word)
+        novel.append(Statement((word, word)))
     points = []
     for label, m in (("a", half), ("b", half + novel), ("c", corpus)):
         size = program_size(Program(m))

@@ -15,21 +15,23 @@ position.  Two variables sharing a binder content get the alias device
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import ReservedSymbolClash, UnsupportedRule
-from .syntax import Bracket, Element, Program, Statement
+from .syntax import Bracket, Element, Program, Statement, fresh_word
 
 ARROW = "->"
 
 _WORD_RE = re.compile(r"[^\s\[\]]+")
+# A Horn predicate or argument: a word without the atom syntax "(", ")", ",".
+_TERM_RE = re.compile(r"[^\s\[\](),]+")
 
 
-def _word(text: str, line: str) -> str:
-    """`text` itself when it is one bracket-free word; ValueError otherwise."""
-    if not _WORD_RE.fullmatch(text):
-        raise ValueError(f"{text!r} is not one bracket-free word: {line!r}")
+def _word(text: str, line: str, pattern: re.Pattern[str] = _WORD_RE) -> str:
+    """`text` itself when `pattern` matches all of it; ValueError otherwise."""
+    if not pattern.fullmatch(text):
+        raise ValueError(f"{text!r} is not one word: {line!r}")
     return text
 
 
@@ -210,17 +212,17 @@ def _parse_atom(text: str) -> Atom:
     if "(" not in text:
         if not text:
             raise ValueError("empty atom")
-        return Atom(_word(text, text))
+        return Atom(_word(text, text, _TERM_RE))
     if not text.endswith(")"):
         raise ValueError(f"malformed atom: {text!r}")
     pred, inner = text[:-1].split("(", 1)
-    pred = _word(pred.strip(), text)
+    pred = _word(pred.strip(), text, _TERM_RE)
     args: list[Term] = []
     for part in inner.split(","):
         part = part.strip()
         if not part:
             raise ValueError(f"empty argument in atom: {text!r}")
-        _word(part, text)
+        _word(part, text, _TERM_RE)
         args.append(Var(part) if part[0].isupper() else part)
     return Atom(pred, tuple(args))
 
@@ -270,20 +272,10 @@ def _split_atoms(text: str) -> list[str]:
     return [p for p in parts if p.strip()]
 
 
-def _alias_word(pred: str, index: int, forbidden: set[str]) -> str:
+def _alias_stem(pred: str) -> str:
+    """The initials of an underscored predicate, else the predicate."""
     parts = pred.split("_")
-    base = "".join(p[0] for p in parts if p) if len(parts) > 1 else pred
-    k = index
-    while f"{base}{k}" in forbidden:
-        k += 1
-    return f"{base}{k}"
-
-
-@dataclass
-class _RuleContext:
-    binders: dict[Var, Bracket] = field(default_factory=dict)
-    content_owner: dict[tuple[Element, ...], Var] = field(default_factory=dict)
-    alias_statements: list[Statement] = field(default_factory=list)
+    return "".join(p[0] for p in parts if p) if len(parts) > 1 else pred
 
 
 def horn_to_bc(h: HornProgram) -> Program:
@@ -296,8 +288,7 @@ def horn_to_bc(h: HornProgram) -> Program:
     its own predicate.  Anything else raises UnsupportedRule.
     """
     statements: list[Statement] = []
-    vocab = h.vocabulary()
-    used_aliases: set[str] = set()
+    taken = h.vocabulary()
     arity: dict[str, int] = {}
     for atom in _atoms(h):
         if arity.setdefault(atom.pred, len(atom.args)) != len(atom.args):
@@ -307,12 +298,14 @@ def horn_to_bc(h: HornProgram) -> Program:
         statements.append(Statement((fact.pred, *fact.args)))  # type: ignore[arg-type]
 
     for rule in h.rules:
-        ctx = _RuleContext()
+        binders: dict[Var, Bracket] = {}
+        contents: set[tuple[Element, ...]] = set()
         guards: list[Bracket] = []
         for i, atom in enumerate(rule.body):
-            new_vars = [v for v in atom.variables() if v not in ctx.binders]
+            new_vars = [v for v in atom.variables() if v not in binders]
             if not new_vars:
-                guards.append(Bracket(_render_args((atom.pred, *atom.args), ctx)))
+                guards.append(Bracket(_render_args((atom.pred, *atom.args),
+                                                   binders)))
                 continue
             if len(new_vars) > 1 or atom.args[-1] != new_vars[0]:
                 raise UnsupportedRule(
@@ -320,34 +313,33 @@ def horn_to_bc(h: HornProgram) -> Program:
             var = new_vars[0]
             if not any(var in a.args for a in (rule.head, *rule.body[i + 1:])):
                 raise UnsupportedRule(f"body variable {var.name!r} is used nowhere else")
-            content = _render_args((atom.pred, *atom.args[:-1]), ctx)
-            if content in ctx.content_owner and ctx.content_owner[content] != var:
-                alias = _alias_word(atom.pred, 2, vocab | used_aliases)
-                used_aliases.add(alias)
-                ctx.alias_statements.append(
-                    Statement((alias, Bracket(content))))
+            content = _render_args((atom.pred, *atom.args[:-1]), binders)
+            if content in contents:
+                alias = fresh_word(_alias_stem(atom.pred), taken, 2)
+                taken.add(alias)
+                statements.append(Statement((alias, Bracket(content))))
                 content = (alias,)
-            ctx.content_owner.setdefault(content, var)
-            ctx.binders[var] = Bracket(content)
+            contents.add(content)
+            binders[var] = Bracket(content)
         for var in rule.head.variables():
-            if var not in ctx.binders:
+            if var not in binders:
                 raise UnsupportedRule(
                     f"head variable {var.name!r} is not bound by the body")
-        head_elements = _render_args((rule.head.pred, *rule.head.args), ctx)
-        statements.extend(ctx.alias_statements)
+        head_elements = _render_args((rule.head.pred, *rule.head.args), binders)
         statements.append(Statement(head_elements + tuple(guards)))
 
     return Program(statements)
 
 
-def _render_args(parts: tuple[Term, ...], ctx: _RuleContext) -> tuple[Element, ...]:
+def _render_args(parts: tuple[Term, ...],
+                 binders: dict[Var, Bracket]) -> tuple[Element, ...]:
     rendered: list[Element] = []
     for part in parts:
         if isinstance(part, Var):
-            if part not in ctx.binders:
+            if part not in binders:
                 raise UnsupportedRule(
                     f"variable {part.name!r} used before it is bound")
-            rendered.append(ctx.binders[part])
+            rendered.append(binders[part])
         else:
             rendered.append(part)
     return tuple(rendered)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Container, Iterable, Iterator, Union
 
 from .errors import EmptyStatement, UnbalancedBrackets
 
@@ -62,9 +62,6 @@ class Statement:
     def __str__(self) -> str:
         return " ".join(str(e) for e in self.elements)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def _all_words(elements: tuple[Element, ...]) -> bool:
     return all(isinstance(e, str) for e in elements)
@@ -76,6 +73,14 @@ def _depth(elements: Iterable[Element]) -> int:
         if isinstance(e, Bracket):
             best = max(best, 1 + _depth(e.elements))
     return best
+
+
+def fresh_word(stem: str, taken: Container[str], start: int = 0) -> str:
+    """The first `stem + k`, for k >= `start`, that is not in `taken`."""
+    k = start
+    while f"{stem}{k}" in taken:
+        k += 1
+    return f"{stem}{k}"
 
 
 def words(*texts: str) -> Statement:

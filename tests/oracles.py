@@ -1,9 +1,12 @@
 """Independent reference implementations used only for checking results."""
 
+import random
 from itertools import product
 
-from bracketc import (CFG, ClosureResult, ExpansionLimits, FrontierPoint,
-                      HornProgram, Program, Statement, Var, expand_statement)
+from bracketc import (CFG, BudgetTooSmall, ClosureResult, ExpansionLimits,
+                      FrontierPoint, HornProgram, Program, Statement, Var,
+                      expand_statement, induce_slots, neighbors)
+from bracketc.compress import _rank, evaluate_program
 from bracketc.engine import TruncationFlags
 
 
@@ -58,6 +61,54 @@ def closure_reference(p: Program, limits: ExpansionLimits) -> ClosureResult:
         truncated=flags,
         rounds_used=rounds_used,
     )
+
+
+def compress_reference(corpus, config):
+    """The beam search as first written: it keeps the best candidate apart
+    from the beam, merges each round's candidates with the beam by program,
+    and counts the greedy prefix's size statement by statement."""
+    corpus = list(dict.fromkeys(corpus))
+    if not corpus:
+        raise BudgetTooSmall("corpus is empty")
+    if config.budget_chars < min(len(str(s)) for s in corpus):
+        raise BudgetTooSmall(
+            f"budget {config.budget_chars} fits no single corpus statement")
+
+    picked: list[Statement] = []
+    total = 0
+    for sent in corpus:
+        extra = len(str(sent)) + (1 if picked else 0)
+        if total + extra <= config.budget_chars:
+            picked.append(sent)
+            total += extra
+
+    c_set = frozenset(corpus)
+    seen: set[Program] = set()
+
+    def score(program):
+        seen.add(program)
+        return evaluate_program(program, c_set, config)
+
+    starts = [Program(picked), induce_slots(corpus)]
+    beam = sorted(map(score, dict.fromkeys(starts)), key=_rank)
+    beam = beam[: config.beam_width]
+    best = beam[0]
+
+    rng = random.Random(config.seed)
+    for _ in range(config.max_iterations):
+        produced = [score(prog) for cand in beam
+                    for prog in neighbors(cand, corpus, config, rng)
+                    if prog not in seen]
+        if not produced:
+            break
+        merged = {c.program: c for c in beam + produced}
+        new_beam = sorted(merged.values(), key=_rank)[: config.beam_width]
+        if _rank(new_beam[0]) < _rank(best):
+            best = new_beam[0]
+        if [c.program for c in new_beam] == [c.program for c in beam]:
+            break
+        beam = new_beam
+    return best
 
 
 def forward_chain(h: HornProgram) -> set[tuple[str, ...]]:

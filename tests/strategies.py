@@ -37,6 +37,12 @@ _WORDS = st.lists(WORD, min_size=1, max_size=3).map(
 CLOSURE_PROGRAM = st.lists(_WORDS | CLOSURE_STATEMENT, min_size=2,
                            max_size=8).map(Program)
 
+# Corpora of 3-10 distinct sentences over four words, so that sentences
+# share templates and every search move finds something to act on.
+CORPUS = st.lists(st.lists(st.sampled_from(("a", "b", "c", "d")), min_size=1,
+                           max_size=4).map(lambda ws: Statement(tuple(ws))),
+                  min_size=3, max_size=10, unique=True)
+
 # Horn sets over three constants and predicates of one arity each, so that
 # a binder bracket matches only facts of its own predicate.
 _ARITY = {"p": 0, "q": 1, "r": 2, "s": 2}

@@ -1,14 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bracketc import (BudgetTooSmall, ExpansionLimits, Program, SearchConfig,
                       closure, compress, evaluate, frontier_sweep,
-                      induce_slots, neighbors, parse_statement, program_size,
-                      reference_points, words)
+                      induce_slots, neighbors, parse_program, parse_statement,
+                      program_size, reference_points, words)
 from bracketc.cli import main
 from bracketc.compress import evaluate_program, _greedy_prefix
+
+from oracles import compress_reference
+from strategies import CORPUS
 
 
 def config(budget, **kw):
@@ -121,6 +126,32 @@ def test_neighbors_merge_cross_product():
         assert parse_statement(f"G {name} Y") in cover
 
 
+def test_neighbors_alias_avoids_words_inside_brackets():
+    # CAT1 occurs only in brackets and as the head of a bracketed alias
+    # statement; reusing it for the new alias would tie two slots together
+    corpus = [words(*t) for t in product("ab", repeat=3)]
+    program = parse_program("CAT0 a\nCAT0 b\n[CAT0] [CAT1] a\nCAT1 [CAT0]")
+    cfg = config(100)
+    cand = evaluate_program(program, corpus, cfg)
+    out = {str(p) for p in neighbors(cand, corpus, cfg, random.Random(0))}
+    assert "CAT0 a\nCAT0 b\n[CAT0] [CAT1] [CAT1]\nCAT1 [CAT0]" not in out
+    fresh = "CAT0 a\nCAT0 b\n[CAT0] [CAT1] [CAT2]\nCAT1 [CAT0]\nCAT2 [CAT0]"
+    assert fresh in out
+    report = evaluate_program(parse_program(fresh), corpus, cfg).report
+    assert report.completeness == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(CORPUS)
+def test_induced_and_neighbour_programs_round_trip(corpus):
+    program = induce_slots(corpus)
+    assert parse_program(str(program)) == program
+    cfg = config(40)
+    cand = evaluate_program(program, corpus, cfg)
+    for p in neighbors(cand, corpus, cfg, random.Random(0)):
+        assert parse_program(str(p)) == p
+
+
 # ---------------------------------------------------------------------------
 # compress
 
@@ -179,6 +210,18 @@ def test_compress_report_matches_pipeline(templated_corpus):
     assert fresh == cand.report
 
 
+@settings(max_examples=100, deadline=None)
+@given(CORPUS, st.integers(10, 60), st.sampled_from((0, 0.5, 2)),
+       st.integers(0, 3))
+def test_compress_matches_reference(corpus, budget, lam, seed):
+    cfg = SearchConfig(budget_chars=budget, lambda_accuracy=lam, seed=seed)
+    got = compress(corpus, cfg)
+    want = compress_reference(corpus, cfg)
+    assert got.program == want.program
+    assert got.report == want.report
+    assert got.objective == want.objective
+
+
 # ---------------------------------------------------------------------------
 # frontier
 
@@ -210,6 +253,12 @@ def test_frontier_sweep_skips_tiny_budget(templated_corpus):
 def test_search_config_rejects_negative_iterations():
     with pytest.raises(ValueError):
         SearchConfig(budget_chars=10, max_iterations=-1)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_search_config_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError):
+        SearchConfig(budget_chars=10, lambda_accuracy=lam)
 
 
 def test_frontier_cli_reports_empty_budgets(tmp_path, capsys):

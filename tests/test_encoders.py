@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from bracketc import (CFG, Atom, ExpansionLimits, HornProgram, HornRule,
                       ReservedSymbolClash, Statement, UnsupportedRule, Var,
@@ -9,6 +10,7 @@ from bracketc import (CFG, Atom, ExpansionLimits, HornProgram, HornRule,
 from bracketc.encoders import cfg_strings_from_closure
 
 from oracles import forward_chain, random_cfg
+from strategies import HORN_PROGRAM
 
 PALINDROME = "S -> A S A | B S B | eps"
 
@@ -99,6 +101,13 @@ def test_cfg_equivalence_random():
     for _ in range(5):
         g = random_cfg(rng)
         assert _bc_language(g, 8) == cfg_enumerate(g, 8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 299))
+def test_cfg_to_bc_round_trips(seed):
+    program = cfg_to_bc(random_cfg(random.Random(seed)))
+    assert parse_program(str(program)) == program
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +211,16 @@ def test_horn_alias_avoids_vocabulary():
     assert "FC3" in {str(s).split()[0] for s in program}
 
 
+@settings(max_examples=100, deadline=None)
+@given(HORN_PROGRAM)
+def test_horn_to_bc_round_trips(h):
+    try:
+        program = horn_to_bc(h)
+    except UnsupportedRule:
+        reject()
+    assert parse_program(str(program)) == program
+
+
 def test_parse_horn_file():
     h = parse_horn("girl(mary).\nlikes(X, ponies) :- girl(X).\n")
     assert h.facts == (Atom("girl", ("mary",)),)
@@ -213,10 +232,18 @@ def test_parse_horn_rejects_fact_with_variable():
         parse_horn("girl(X).")
 
 
-@pytest.mark.parametrize("text", ["p([a]).", "q(b c).", "p q.", "p [q](a)."])
+@pytest.mark.parametrize("text", ["p([a]).", "q(b c).", "p q.", "p [q](a).",
+                                  "p(a(b)).", "p(a)(b).", "p(a))."])
 def test_parse_horn_rejects_term_that_is_not_one_word(text):
     with pytest.raises(ValueError):
         parse_horn(text)
+
+
+def test_parse_cfg_accepts_parentheses():
+    # only Horn terms exclude the atom syntax; balanced parentheses are a
+    # natural grammar
+    g = parse_cfg("S -> ( S ) S | eps")
+    assert g.terminals == {"(", ")"}
 
 
 def test_empty_bracket_prolog_variant_golden():
