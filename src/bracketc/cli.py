@@ -141,17 +141,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_encode_cfg(args: argparse.Namespace) -> int:
-    with open(args.grammar, encoding="utf-8") as fh:
-        grammar = parse_cfg(fh.read())
-    _write(args.output, str(cfg_to_bc(grammar)))
-    return 0
-
-
-def _cmd_encode_horn(args: argparse.Namespace) -> int:
-    with open(args.rules, encoding="utf-8") as fh:
-        horn = parse_horn(fh.read())
-    _write(args.output, str(horn_to_bc(horn)))
+def _cmd_encode(args: argparse.Namespace) -> int:
+    with open(args.source, encoding="utf-8") as fh:
+        source = args.parse(fh.read())
+    _write(args.output, str(args.encode(source)))
     return 0
 
 
@@ -211,14 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("encode-cfg", help="translate a CFG file")
-    p.add_argument("grammar")
+    p.add_argument("source", metavar="grammar")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_encode_cfg)
+    p.set_defaults(func=_cmd_encode, parse=parse_cfg, encode=cfg_to_bc)
 
     p = sub.add_parser("encode-horn", help="translate a fact/rule file")
-    p.add_argument("rules")
+    p.add_argument("source", metavar="rules")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_encode_horn)
+    p.set_defaults(func=_cmd_encode, parse=parse_horn, encode=horn_to_bc)
 
     p = sub.add_parser("compress", help="search for a size-bounded program")
     p.add_argument("corpus")

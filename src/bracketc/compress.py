@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 from .engine import ExpansionLimits, closure, ripe_contents
 from .errors import BudgetTooSmall
 from .metrics import FrontierPoint, MetricsReport, evaluate
-from .syntax import (Bracket, Element, Program, Statement, fresh_word,
-                     program_size)
+from .syntax import (Bracket, Element, Program, Statement, alias,
+                     fresh_word, program_size)
 
 _MAX_NEIGHBORS = 300
 
@@ -110,7 +110,6 @@ def induce_slots(corpus: Sequence[Statement]) -> Program:
             continue
         prefix, suffix = sig
         cat = fresh_word("CAT", vocab)
-        vocab.add(cat)
         statements.extend(Statement((cat, *_middle(sents[i], *sig))) for i in group)
         statements.append(Statement(prefix + (Bracket((cat,)),) + suffix))
         unassigned = [i for i in unassigned if i not in group]
@@ -153,6 +152,7 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
     # every word of the corpus and of the program, inside brackets too
     taken = set(str(prog).replace("[", " ").replace("]", " ").split())
     taken.update(w for s in corpus for w in s.words)
+    alias_word = fresh_word("CAT", taken)
     results: dict[Program, None] = {}
 
     def emit(statements: Iterable[Statement]) -> None:
@@ -204,14 +204,11 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
             for cat in cats:
                 if Statement((cat, e)) not in prog:
                     continue
+                bracket = Bracket((cat,))
                 extra: list[Statement] = []
-                if any(isinstance(x, Bracket) and x.elements == (cat,)
-                       for x in st.elements):
-                    alias = fresh_word("CAT", taken)
-                    extra.append(Statement((alias, Bracket((cat,)))))
-                    bracket = Bracket((alias,))
-                else:
-                    bracket = Bracket((cat,))
+                if bracket in st.elements:
+                    statement, bracket = alias((cat,), alias_word)
+                    extra.append(statement)
                 new_st = Statement(
                     st.elements[:pos] + (bracket,) + st.elements[pos + 1:])
                 emit(stmts[:idx] + [new_st] + stmts[idx + 1:] + extra)
@@ -306,7 +303,6 @@ def reference_points(corpus: Sequence[Statement]) -> list[FrontierPoint]:
     novel: list[Statement] = []
     for _ in half:
         word = fresh_word("NOVEL", taken)
-        taken.add(word)
         novel.append(Statement((word, word)))
     points = []
     for label, m in (("a", half), ("b", half + novel), ("c", corpus)):

@@ -3,7 +3,7 @@
 A production N -> alpha becomes the statement "N -> ..." where every
 nonterminal occurrence turns into the bracket [X ->].  Repeated
 nonterminals within one right side would collide under the same-content
-rule, so repeats are numbered (X1, X2, ...) with alias statements
+rule, so repeats get fresh alias words (X1, X2, ...) with alias statements
 "X1 -> [X ->]" that let each occurrence vary independently.
 
 Horn facts render predicate-first ("P a b"); rule variables are supplied
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import ReservedSymbolClash, UnsupportedRule
-from .syntax import Bracket, Element, Program, Statement, fresh_word
+from .syntax import Bracket, Element, Program, Statement, alias, fresh_word
 
 ARROW = "->"
 
@@ -92,8 +92,8 @@ def parse_cfg(text: str) -> CFG:
 def cfg_to_bc(g: CFG) -> Program:
     """Simulate a CFG: one statement per production plus alias statements."""
     statements: list[Statement] = []
-    aliases: dict[str, str] = {}  # alias word -> base nonterminal
-    vocab = g.nonterminals | g.terminals
+    aliases: dict[tuple[str, int], tuple[Statement, Bracket]] = {}
+    taken = {*g.nonterminals, *g.terminals}
     for lhs, rhs in g.productions:
         counts: dict[str, int] = {}
         elements: list[Element] = [lhs, ARROW]
@@ -101,20 +101,16 @@ def cfg_to_bc(g: CFG) -> Program:
             if sym in g.terminals:
                 elements.append(sym)
                 continue
-            counts[sym] = counts.get(sym, 0) + 1
-            occurrence = counts[sym]
-            if occurrence == 1:
+            k = counts[sym] = counts.get(sym, 0) + 1
+            if k == 1:
                 elements.append(Bracket((sym, ARROW)))
-            else:
-                alias = f"{sym}{occurrence - 1}"
-                if alias in vocab:
-                    raise ReservedSymbolClash(
-                        f"alias {alias!r} collides with a grammar symbol")
-                aliases.setdefault(alias, sym)
-                elements.append(Bracket((alias, ARROW)))
+                continue
+            if (sym, k) not in aliases:  # the k-th X is X{k-1} unless taken
+                word = fresh_word(sym, taken, k - 1)
+                aliases[sym, k] = alias((sym, ARROW), word, (ARROW,))
+            elements.append(aliases[sym, k][1])
         statements.append(Statement(tuple(elements)))
-    for alias, base in aliases.items():
-        statements.append(Statement((alias, ARROW, Bracket((base, ARROW)))))
+    statements.extend(statement for statement, _ in aliases.values())
     return Program(statements)
 
 
@@ -207,7 +203,8 @@ def _atoms(h: HornProgram) -> list[Atom]:
     return list(h.facts) + [a for r in h.rules for a in (r.head, *r.body)]
 
 
-def _parse_atom(text: str) -> Atom:
+def _parse_atom(text: str, taken: set[str]) -> Atom:
+    """One atom; each bare `_` becomes a variable not named in `taken`."""
     text = text.strip()
     if "(" not in text:
         if not text:
@@ -222,16 +219,17 @@ def _parse_atom(text: str) -> Atom:
         part = part.strip()
         if not part:
             raise ValueError(f"empty argument in atom: {text!r}")
-        _word(part, text, _TERM_RE)
-        args.append(Var(part) if part[0].isupper() else part)
+        if _word(part, text, _TERM_RE) == "_":
+            part = fresh_word("_", taken)
+        args.append(Var(part) if part[0].isupper() or part[0] == "_" else part)
     return Atom(pred, tuple(args))
 
 
 def parse_horn(text: str) -> HornProgram:
     """Lines "p(a,b)." for facts, "h(X) :- b1(X), b2(X,Y)." for rules.
 
-    Prolog convention: identifiers starting with an uppercase letter are
-    variables, everything else is a constant.
+    Prolog convention: identifiers starting with an uppercase letter or `_`
+    are variables, each bare `_` one of its own; the rest are constants.
     """
     facts: list[Atom] = []
     rules: list[HornRule] = []
@@ -241,13 +239,14 @@ def parse_horn(text: str) -> HornProgram:
             continue
         if stripped.endswith("."):
             stripped = stripped[:-1].strip()
+        taken = set(_TERM_RE.findall(stripped))
         if ":-" in stripped:
             head_text, body_text = stripped.split(":-", 1)
-            head = _parse_atom(head_text)
-            body = tuple(_parse_atom(a) for a in _split_atoms(body_text))
+            head = _parse_atom(head_text, taken)
+            body = tuple(_parse_atom(a, taken) for a in _split_atoms(body_text))
             rules.append(HornRule(head, body))
         else:
-            atom = _parse_atom(stripped)
+            atom = _parse_atom(stripped, taken)
             if atom.variables():
                 raise ValueError(f"fact with variables: {stripped!r}")
             facts.append(atom)
@@ -313,14 +312,13 @@ def horn_to_bc(h: HornProgram) -> Program:
             var = new_vars[0]
             if not any(var in a.args for a in (rule.head, *rule.body[i + 1:])):
                 raise UnsupportedRule(f"body variable {var.name!r} is used nowhere else")
-            content = _render_args((atom.pred, *atom.args[:-1]), binders)
-            if content in contents:
-                alias = fresh_word(_alias_stem(atom.pred), taken, 2)
-                taken.add(alias)
-                statements.append(Statement((alias, Bracket(content))))
-                content = (alias,)
-            contents.add(content)
-            binders[var] = Bracket(content)
+            binder = Bracket(_render_args((atom.pred, *atom.args[:-1]), binders))
+            if binder.elements in contents:
+                statement, binder = alias(
+                    binder.elements, fresh_word(_alias_stem(atom.pred), taken, 2))
+                statements.append(statement)
+            contents.add(binder.elements)
+            binders[var] = binder
         for var in rule.head.variables():
             if var not in binders:
                 raise UnsupportedRule(

@@ -70,22 +70,18 @@ def ripe_contents(s: Statement) -> list[WordSeq]:
     The empty content is one distinct class; a bracket-free statement
     yields an empty list.
     """
-    out: list[WordSeq] = []
-    seen: set[WordSeq] = set()
+    out: dict[WordSeq, None] = {}
 
     def walk(elements: Iterable[Element]) -> None:
         for e in elements:
             if isinstance(e, Bracket):
                 if e.ripe:
-                    content = e.elements
-                    if content not in seen:
-                        seen.add(content)
-                        out.append(content)  # type: ignore[arg-type]
+                    out[e.elements] = None  # type: ignore[index]
                 else:
                     walk(e.elements)
 
     walk(s.elements)
-    return out
+    return list(out)
 
 
 def match_endings(content: WordSeq, pool: Iterable[Statement]) -> set[WordSeq]:
@@ -98,9 +94,7 @@ def match_endings(content: WordSeq, pool: Iterable[Statement]) -> set[WordSeq]:
     n = len(content)
     for st in pool:
         ws = st.words
-        if n == 0:
-            endings.add(ws)
-        elif ws[:n] == content:
+        if ws[:n] == content:
             endings.add(ws[n:])
     return endings
 

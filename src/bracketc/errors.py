@@ -26,7 +26,7 @@ class NoBracketedStatements(BCError):
 
 
 class ReservedSymbolClash(BCError):
-    """A grammar symbol collides with a generated alias name."""
+    """A grammar uses the encoding's reserved symbol '->'."""
 
 
 class UnsupportedRule(BCError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import EmptyStatement, UnbalancedBrackets
 
@@ -75,12 +75,23 @@ def _depth(elements: Iterable[Element]) -> int:
     return best
 
 
-def fresh_word(stem: str, taken: Container[str], start: int = 0) -> str:
-    """The first `stem + k`, for k >= `start`, that is not in `taken`."""
+def fresh_word(stem: str, taken: set[str], start: int = 0) -> str:
+    """The first `stem + k`, for k >= `start`, that is not in `taken`;
+    the word joins `taken`, so the next call invents another one."""
     k = start
     while f"{stem}{k}" in taken:
         k += 1
-    return f"{stem}{k}"
+    word = f"{stem}{k}"
+    taken.add(word)
+    return word
+
+
+def alias(content: tuple[Element, ...], word: str,
+          tail: tuple[Element, ...] = ()) -> tuple[Statement, Bracket]:
+    """The alias statement `word *tail [content]` and its bracket
+    `[word *tail]`: a prefix of the statement, so it takes the endings of
+    `[content]`, in a replacement class of its own, so it varies apart."""
+    return Statement((word, *tail, Bracket(content))), Bracket((word, *tail))
 
 
 def words(*texts: str) -> Statement:

@@ -111,6 +111,15 @@ def test_encode_horn(tmp_path, capsys):
     assert "likes [girl] ponies" in out
 
 
+@pytest.mark.parametrize("command, source", [("encode-cfg", "grammar"),
+                                             ("encode-horn", "rules")])
+def test_encode_usage_names_its_source(command, source, capsys):
+    assert main([command]) == 1
+    err = capsys.readouterr().err
+    assert f"usage: bracketc {command} [-h] [-o OUTPUT] {source}" in err
+    assert f"the following arguments are required: {source}" in err
+
+
 def test_compress_and_output(files, capsys):
     tmp_path, _, corpus = files
     out_path = tmp_path / "cc.bc"

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -139,6 +140,24 @@ def test_neighbors_alias_avoids_words_inside_brackets():
     assert fresh in out
     report = evaluate_program(parse_program(fresh), corpus, cfg).report
     assert report.completeness == 1
+
+
+def test_neighbors_cap_samples_a_sorted_subset(monkeypatch):
+    # a verbatim program of 320 sentences: its 320 deletions are its only
+    # neighbours, over the cap of 300
+    corpus = [words(f"W{i}", "X") for i in range(320)]
+    cfg = config(10_000)
+    cand = evaluate_program(Program(corpus), corpus, cfg)
+    capped = neighbors(cand, corpus, cfg, random.Random(4))
+    assert len(capped) == 300
+    assert [str(p) for p in capped] == sorted(str(p) for p in capped)
+    assert capped == neighbors(cand, corpus, cfg, random.Random(4))
+    assert capped != neighbors(cand, corpus, cfg, random.Random(5))
+    module = importlib.import_module("bracketc.compress")
+    monkeypatch.setattr(module, "_MAX_NEIGHBORS", 1_000)
+    every = neighbors(cand, corpus, cfg, random.Random(4))
+    assert len(every) == 320
+    assert set(capped) < set(every)
 
 
 @settings(max_examples=50, deadline=None)

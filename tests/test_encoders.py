@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -43,10 +44,28 @@ def test_cfg_to_bc_numbers_repeats():
 
 
 def test_cfg_to_bc_alias_clash():
+    # S1 is a grammar symbol, so the alias of the second S is the next
+    # fresh word, S2
     g = CFG(frozenset({"S", "S1"}), frozenset({"a"}), "S",
             (("S", ("S", "S")), ("S1", ("a",))))
-    with pytest.raises(ReservedSymbolClash):
-        cfg_to_bc(g)
+    assert list(map(str, cfg_to_bc(g))) == [
+        "S -> [S ->] [S2 ->]", "S1 -> a", "S2 -> [S ->]"]
+
+
+def test_cfg_to_bc_alias_skips_symbol_of_another_production():
+    g = parse_cfg("S -> A A\nA -> a | A1\nA1 -> b")
+    assert list(map(str, cfg_to_bc(g))) == [
+        "S -> [A ->] [A2 ->]", "A -> a", "A -> [A1 ->]", "A1 -> b",
+        "A2 -> [A ->]"]
+    assert _bc_language(g, 2) == cfg_enumerate(g, 2) == {
+        ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")}
+
+
+def test_cfg_to_bc_shares_one_alias_across_productions():
+    g = parse_cfg("S -> T T | T T b\nT -> a")
+    assert list(map(str, cfg_to_bc(g))) == [
+        "S -> [T ->] [T1 ->]", "S -> [T ->] [T1 ->] b", "T -> a",
+        "T1 -> [T ->]"]
 
 
 @pytest.mark.parametrize("text", ["S T -> a", "S -> [a]"])
@@ -101,6 +120,44 @@ def test_cfg_equivalence_random():
     for _ in range(5):
         g = random_cfg(rng)
         assert _bc_language(g, 8) == cfg_enumerate(g, 8)
+
+
+def _clash_prone_cfg(rng):
+    """A random grammar over S and one to three of S1, S2, T, T1 and U, so
+    that the aliases of a repeated S or T meet nonterminals named alike.
+
+    Each nonterminal derives at most 20 strings of length <= 5, so that no
+    statement of the encoding has more than 20**3 expansions."""
+    while True:
+        nts = ["S", *rng.sample(["S1", "S2", "T", "T1", "U"], rng.randint(1, 3))]
+        productions = tuple(
+            (rng.choice(nts), tuple(rng.choice(nts if rng.random() < 0.5 else "ab")
+                                    for _ in range(rng.randint(0, 3))))
+            for _ in range(rng.randint(2, 6)))
+        g = CFG(frozenset(nts), frozenset("ab"), "S", productions)
+        if all(len(cfg_enumerate(replace(g, start=nt), 5)) <= 20 for nt in nts):
+            return g
+
+
+def _numbered_alias_clashes(g):
+    """Whether the k-th occurrence of some X in a right side (k >= 2)
+    meets a nonterminal X{k-1}, so that its alias must skip that name."""
+    return any(f"{sym}{k}" in g.nonterminals
+               for _, rhs in g.productions for sym in set(rhs)
+               for k in range(1, rhs.count(sym)))
+
+
+def test_cfg_to_bc_aliases_avoid_grammar_symbols():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 40:
+        g = _clash_prone_cfg(rng)
+        if not _numbered_alias_clashes(g):
+            continue
+        program = cfg_to_bc(g)
+        assert parse_program(str(program)) == program
+        assert _bc_language(g, 5) == cfg_enumerate(g, 5)
+        checked += 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -225,6 +282,30 @@ def test_parse_horn_file():
     h = parse_horn("girl(mary).\nlikes(X, ponies) :- girl(X).\n")
     assert h.facts == (Atom("girl", ("mary",)),)
     assert h.rules[0].head == Atom("likes", (Var("X"), "ponies"))
+
+
+def test_parse_horn_underscore_terms_are_variables():
+    # each bare _ is a variable of its own, used nowhere else, so the two
+    # first rules cannot be encoded (Prolog derives h(a) and h(d) from them)
+    for rule in ("h(a) :- q(_).", "h(X) :- q(_), r(_, X)."):
+        h = parse_horn("q(b).\nr(c, d).\n" + rule)
+        assert all(a.variables() for a in h.rules[0].body)
+        with pytest.raises(UnsupportedRule):
+            horn_to_bc(h)
+    h = parse_horn("q(b).\nr(b, d).\nh(X) :- q(_Y), r(_Y, X).")
+    assert h.rules[0].body[0] == Atom("q", (Var("_Y"),))
+    program = horn_to_bc(h)
+    assert "h [r [q]]" in strs(program)
+    result = closure(program, ExpansionLimits())
+    assert {s.words for s in result.bracket_free} == forward_chain(h)
+    assert ("h", "d") in forward_chain(h)
+
+
+def test_parse_horn_names_each_underscore_apart():
+    h = parse_horn("h(X) :- p(_, _0, _, X).")
+    assert h.rules[0].body[0].args == (Var("_1"), Var("_0"), Var("_2"), Var("X"))
+    with pytest.raises(ValueError):
+        parse_horn("p(_).")
 
 
 def test_parse_horn_rejects_fact_with_variable():

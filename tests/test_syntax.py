@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from bracketc import (Bracket, EmptyStatement, Program, Statement,
                       UnbalancedBrackets, parse_program, parse_statement,
                       program_size, serialize_statement, words)
+from bracketc.syntax import alias, fresh_word
 
 from strategies import PROGRAM, STATEMENT
 
@@ -104,6 +105,23 @@ def test_program_deduplicates():
 def test_program_order_preserved():
     p = parse_program("C D\nA B")
     assert [str(s) for s in p] == ["C D", "A B"]
+
+
+def test_fresh_word_claims_the_word_it_returns():
+    taken = {"CAT0", "CAT2"}
+    assert fresh_word("CAT", taken) == "CAT1"
+    assert fresh_word("CAT", taken) == "CAT3"
+    assert fresh_word("CAT", taken, 5) == "CAT5"
+    assert taken == {"CAT0", "CAT1", "CAT2", "CAT3", "CAT5"}
+
+
+def test_alias_statement_and_bracket():
+    statement, bracket = alias(("S", "->"), "S1", ("->",))
+    assert str(statement) == "S1 -> [S ->]"
+    assert bracket == Bracket(("S1", "->"))
+    assert statement.elements[:len(bracket.elements)] == bracket.elements
+    statement, bracket = alias(("CAT0",), "CAT1")
+    assert (str(statement), str(bracket)) == ("CAT1 [CAT0]", "[CAT1]")
 
 
 def test_words_of_bracketed_statement_raises():
