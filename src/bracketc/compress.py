@@ -157,7 +157,7 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
 
     def emit(statements: Iterable[Statement]) -> None:
         p = Program(statements)
-        if len(p) and p != prog:
+        if p != prog:
             results[p] = None
 
     # (a) merge two categories

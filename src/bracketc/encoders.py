@@ -15,20 +15,21 @@ position.  Two variables sharing a binder content get the alias device
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
+from .engine import match_endings
 from .errors import ReservedSymbolClash, UnsupportedRule
-from .syntax import Bracket, Element, Program, Statement, alias, fresh_word
+from .syntax import (WORD_RE, Bracket, Element, Program, Statement, alias,
+                     fresh_word, lines)
 
 ARROW = "->"
 
-_WORD_RE = re.compile(r"[^\s\[\]]+")
 # A Horn predicate or argument: a word without the atom syntax "(", ")", ",".
 _TERM_RE = re.compile(r"[^\s\[\](),]+")
 
 
-def _word(text: str, line: str, pattern: re.Pattern[str] = _WORD_RE) -> str:
+def _word(text: str, line: str, pattern: re.Pattern[str] = WORD_RE) -> str:
     """`text` itself when `pattern` matches all of it; ValueError otherwise."""
     if not pattern.fullmatch(text):
         raise ValueError(f"{text!r} is not one word: {line!r}")
@@ -63,10 +64,7 @@ def parse_cfg(text: str) -> CFG:
     """Lines "N -> a B | eps"; the first left-hand side is the start."""
     productions: list[tuple[str, tuple[str, ...]]] = []
     nonterminals: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for stripped in lines(text):
         if "->" not in stripped:
             raise ValueError(f"grammar line without '->': {stripped!r}")
         lhs, rhs_text = stripped.split("->", 1)
@@ -147,14 +145,8 @@ def cfg_enumerate(g: CFG, max_len: int) -> frozenset[tuple[str, ...]]:
 def cfg_strings_from_closure(bracket_free: Iterable[Statement], start: str,
                              max_len: int) -> frozenset[tuple[str, ...]]:
     """Strip the "S ->" prefix from derived statements to recover strings."""
-    out = set()
-    for st in bracket_free:
-        ws = st.words
-        if len(ws) >= 2 and ws[0] == start and ws[1] == ARROW:
-            body = ws[2:]
-            if len(body) <= max_len:
-                out.add(body)
-    return frozenset(out)
+    return frozenset(e for e in match_endings((start, ARROW), bracket_free)
+                     if len(e) <= max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +156,8 @@ def cfg_strings_from_closure(bracket_free: Iterable[Statement], start: str,
 @dataclass(frozen=True)
 class Var:
     name: str
+    #: Written as a bare `_`, so `name` is one `parse_horn` invented.
+    anonymous: bool = field(default=False, compare=False)
 
 
 Term = Union[str, Var]
@@ -220,8 +214,9 @@ def _parse_atom(text: str, taken: set[str]) -> Atom:
         if not part:
             raise ValueError(f"empty argument in atom: {text!r}")
         if _word(part, text, _TERM_RE) == "_":
-            part = fresh_word("_", taken)
-        args.append(Var(part) if part[0].isupper() or part[0] == "_" else part)
+            args.append(Var(fresh_word("_", taken), anonymous=True))
+        else:
+            args.append(Var(part) if part[0].isupper() or part[0] == "_" else part)
     return Atom(pred, tuple(args))
 
 
@@ -233,10 +228,7 @@ def parse_horn(text: str) -> HornProgram:
     """
     facts: list[Atom] = []
     rules: list[HornRule] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#") or stripped.startswith("%"):
-            continue
+    for stripped in lines(text, ("#", "%")):
         if stripped.endswith("."):
             stripped = stripped[:-1].strip()
         taken = set(_TERM_RE.findall(stripped))
@@ -254,7 +246,7 @@ def parse_horn(text: str) -> HornProgram:
 
 
 def _split_atoms(text: str) -> list[str]:
-    """Split a rule body on commas outside parentheses."""
+    """Split a rule body on commas outside parentheses; empty parts stay."""
     parts, depth, current = [], 0, []
     for ch in text:
         if ch == "(":
@@ -266,9 +258,7 @@ def _split_atoms(text: str) -> list[str]:
             current = []
         else:
             current.append(ch)
-    if current:
-        parts.append("".join(current))
-    return [p for p in parts if p.strip()]
+    return parts + ["".join(current)]
 
 
 def _alias_stem(pred: str) -> str:
@@ -311,7 +301,8 @@ def horn_to_bc(h: HornProgram) -> Program:
                     f"cannot recover variables of {atom.pred!r} as an ending")
             var = new_vars[0]
             if not any(var in a.args for a in (rule.head, *rule.body[i + 1:])):
-                raise UnsupportedRule(f"body variable {var.name!r} is used nowhere else")
+                raise UnsupportedRule(
+                    f"{_named('body', var, atom)} is used nowhere else")
             binder = Bracket(_render_args((atom.pred, *atom.args[:-1]), binders))
             if binder.elements in contents:
                 statement, binder = alias(
@@ -322,22 +313,21 @@ def horn_to_bc(h: HornProgram) -> Program:
         for var in rule.head.variables():
             if var not in binders:
                 raise UnsupportedRule(
-                    f"head variable {var.name!r} is not bound by the body")
+                    f"{_named('head', var, rule.head)} is not bound by the body")
         head_elements = _render_args((rule.head.pred, *rule.head.args), binders)
         statements.append(Statement(head_elements + tuple(guards)))
 
     return Program(statements)
 
 
+def _named(role: str, var: Var, atom: Atom) -> str:
+    """How a message names `var` of `atom`: a bare `_` by where it stands."""
+    if var.anonymous:
+        n = atom.args.index(var) + 1
+        return f"anonymous variable '_' (argument {n} of {atom.pred})"
+    return f"{role} variable {var.name!r}"
+
+
 def _render_args(parts: tuple[Term, ...],
                  binders: dict[Var, Bracket]) -> tuple[Element, ...]:
-    rendered: list[Element] = []
-    for part in parts:
-        if isinstance(part, Var):
-            if part not in binders:
-                raise UnsupportedRule(
-                    f"variable {part.name!r} used before it is bound")
-            rendered.append(binders[part])
-        else:
-            rendered.append(part)
-    return tuple(rendered)
+    return tuple(binders[p] if isinstance(p, Var) else p for p in parts)

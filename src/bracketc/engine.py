@@ -192,7 +192,7 @@ def sample(p: Program, limits: ExpansionLimits, seed: int,
     """Randomly ground bracketed program statements; deterministic per seed.
 
     Endings are drawn uniformly per content class from the closure pool.
-    Statements that fail to ground within the depth bound are skipped; the
+    Draws that fail to ground within `max_rounds` steps are skipped; the
     attempt budget caps the total work so degenerate programs terminate.
     """
     if count < 0:
@@ -203,13 +203,11 @@ def sample(p: Program, limits: ExpansionLimits, seed: int,
     pool = closure(p, limits).bracket_free
     rng = random.Random(seed)
     results: list[Statement] = []
-    attempts = 0
-    max_attempts = max(count * 100, 100)
-    while len(results) < count and attempts < max_attempts:
-        attempts += 1
+    for _ in range(max(count * 100, 100)):  # the attempt budget
+        if len(results) == count:
+            break
         st = rng.choice(bracketed)
-        depth = 0
-        while not st.bracket_free and depth < limits.max_rounds:
+        for _ in range(limits.max_rounds):
             choices = _choices(st, pool)
             if not choices:
                 break
@@ -220,7 +218,7 @@ def sample(p: Program, limits: ExpansionLimits, seed: int,
             st = Statement(elements)
             if st.token_count() > limits.max_tokens_per_statement:
                 break
-            depth += 1
-        if st.bracket_free and st.token_count() <= limits.max_tokens_per_statement:
-            results.append(st)
+            if st.bracket_free:
+                results.append(st)
+                break
     return results

@@ -14,7 +14,8 @@ from typing import Iterable, Iterator, Union
 
 from .errors import EmptyStatement, UnbalancedBrackets
 
-_TOKEN_RE = re.compile(r"\[|\]|[^\s\[\]]+")
+WORD_RE = re.compile(r"[^\s\[\]]+")
+_TOKEN_RE = re.compile(rf"\[|\]|{WORD_RE.pattern}")
 
 Element = Union[str, "Bracket"]
 
@@ -56,23 +57,12 @@ class Statement:
         """Top-level element count: each word and each bracket counts 1."""
         return len(self.elements)
 
-    def depth(self) -> int:
-        return _depth(self.elements)
-
     def __str__(self) -> str:
         return " ".join(str(e) for e in self.elements)
 
 
 def _all_words(elements: tuple[Element, ...]) -> bool:
     return all(isinstance(e, str) for e in elements)
-
-
-def _depth(elements: Iterable[Element]) -> int:
-    best = 0
-    for e in elements:
-        if isinstance(e, Bracket):
-            best = max(best, 1 + _depth(e.elements))
-    return best
 
 
 def fresh_word(stem: str, taken: set[str], start: int = 0) -> str:
@@ -174,15 +164,17 @@ def program_size(p: Program) -> int:
     return len(str(p))
 
 
-def parse_program(text: str) -> Program:
-    """Parse a program file body: one statement per line, '#' comments."""
-    statements = []
+def lines(text: str, comments: tuple[str, ...] = ("#",)) -> Iterator[str]:
+    """The stripped lines of `text` that are neither blank nor comments."""
     for line in text.splitlines():
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        statements.append(parse_statement(stripped))
-    return Program(statements)
+        if stripped and not stripped.startswith(comments):
+            yield stripped
+
+
+def parse_program(text: str) -> Program:
+    """Parse a program file body: one statement per line, '#' comments."""
+    return Program(map(parse_statement, lines(text)))
 
 
 def load_program(path: str) -> Program:

@@ -1,5 +1,6 @@
 import pytest
 
+from bracketc import cli
 from bracketc.cli import main
 
 GIRLS = "GIRL LINDA\nGIRL MARY\n[GIRL] LIKES PONIES\n"
@@ -19,6 +20,24 @@ def test_check(files, capsys):
     _, prog, _ = files
     assert main(["check", prog]) == 0
     assert "3 statements" in capsys.readouterr().out
+
+
+def test_check_reports_duplicate_lines(tmp_path, capsys):
+    prog = tmp_path / "dupes.bc"
+    prog.write_text(GIRLS + "GIRL MARY\n", encoding="utf-8")
+    assert main(["check", str(prog)]) == 0
+    out, err = capsys.readouterr()
+    assert "3 statements" in out
+    assert "# 1 duplicate lines dropped" in err
+
+
+def test_unexpected_exception_is_an_internal_error(files, monkeypatch, capsys):
+    def fail(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "load_program", fail)
+    assert main(["check", files[1]]) == 2
+    assert "internal error: boom" in capsys.readouterr().err
 
 
 def test_check_missing_file(files, capsys):
@@ -84,6 +103,16 @@ def test_metrics_identity(files, capsys):
     assert "completeness=1.000000" in out
 
 
+def test_metrics_truncation_header(tmp_path, files, capsys):
+    _, _, corpus = files
+    prog = tmp_path / "loop.bc"
+    prog.write_text("NUMBER 0\nNUMBER X [NUMBER]\n", encoding="utf-8")
+    assert main(["metrics", str(prog), corpus, "--max-rounds", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# truncated: rounds (max_rounds=2 ")
+    assert "completeness=" in out
+
+
 def test_metrics_csv(files, capsys):
     _, prog, corpus = files
     assert main(["metrics", prog, corpus, "--csv"]) == 0
@@ -139,6 +168,19 @@ def test_frontier_rows(files, tmp_path, capsys):
     assert len(lines) == 1 + 2 + 3  # header + budgets + references
     labels = [line.split(",")[0] for line in lines[1:]]
     assert labels[-3:] == ["a", "b", "c"]
+
+
+def test_frontier_reports_skipped_budget(files, tmp_path, capsys):
+    # 3 characters fit no sentence of the corpus, so that budget gives no row
+    _, _, corpus = files
+    csv_path = tmp_path / "frontier.csv"
+    assert main(["frontier", corpus, "--budgets", "3,60",
+                 "--csv", str(csv_path), "--iterations", "2"]) == 0
+    assert "# 1 budget(s) skipped: too small for any program" in \
+        capsys.readouterr().err
+    lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
+    labels = [line.split(",")[0] for line in lines[1:]]
+    assert labels == ["compress", "a", "b", "c"]
 
 
 def test_unknown_flag_rejected(files):

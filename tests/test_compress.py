@@ -160,6 +160,19 @@ def test_neighbors_cap_samples_a_sorted_subset(monkeypatch):
     assert set(capped) < set(every)
 
 
+def test_neighbors_widen_only_a_category_slot():
+    # [N Y] holds two words and Z heads no statement, so neither is a
+    # category that move (d) could widen with N c or Z c
+    corpus = [parse_statement(x) for x in
+              ("F a X", "F b X", "G c Y X", "H c X")]
+    program = parse_program("N a\nF [N] X\nG [N Y] X\nH [Z] X")
+    cfg = config(300)
+    cand = evaluate_program(program, corpus, cfg)
+    out = neighbors(cand, corpus, cfg, random.Random(0))
+    assert any(words("N", "b") in p for p in out)
+    assert not any(words("N", "c") in p or words("Z", "c") in p for p in out)
+
+
 @settings(max_examples=50, deadline=None)
 @given(CORPUS)
 def test_induced_and_neighbour_programs_round_trip(corpus):
@@ -178,6 +191,8 @@ def test_induced_and_neighbour_programs_round_trip(corpus):
 def test_compress_budget_too_small(templated_corpus):
     with pytest.raises(BudgetTooSmall):
         compress(templated_corpus, config(3))
+    with pytest.raises(BudgetTooSmall):
+        compress([], config(3))
 
 
 def test_compress_full_budget(templated_corpus):
@@ -272,6 +287,13 @@ def test_frontier_sweep_skips_tiny_budget(templated_corpus):
 def test_search_config_rejects_negative_iterations():
     with pytest.raises(ValueError):
         SearchConfig(budget_chars=10, max_iterations=-1)
+
+
+@pytest.mark.parametrize("field", ["budget_chars", "beam_width"])
+def test_search_config_rejects_zero(field):
+    kw = {"budget_chars": 10, field: 0}
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**kw)
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf")])

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -77,6 +78,36 @@ def test_parse_cfg_rejects_symbol_that_is_not_one_word(text):
 def test_parse_cfg_rejects_arrow_symbol():
     with pytest.raises(ReservedSymbolClash):
         parse_cfg("S -> x -> y")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("S a", "without '->'"),
+    ("", "no productions"),
+    ("# a comment only\n\n", "no productions"),
+])
+def test_parse_cfg_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_cfg(text)
+
+
+@pytest.mark.parametrize("nts, terminals, start, productions, message", [
+    ({"S"}, {"a"}, "T", (), "start symbol"),
+    ({"S"}, {"S"}, "S", (), "overlap"),
+    ({"S"}, {"a"}, "S", (("T", ("a",)),), "undeclared nonterminal"),
+    ({"S"}, {"a"}, "S", (("S", ("b",)),), "undeclared symbol"),
+])
+def test_cfg_rejects_inconsistent_fields(nts, terminals, start, productions,
+                                         message):
+    with pytest.raises(ValueError, match=message):
+        CFG(frozenset(nts), frozenset(terminals), start, productions)
+
+
+def test_parse_skips_blank_and_comment_lines():
+    assert parse_cfg(f"# palindromes\n\n  {PALINDROME}\n# end") == \
+        parse_cfg(PALINDROME)
+    rules = "girl(mary).\nlikes(X, ponies) :- girl(X)."
+    assert parse_horn(f"% facts\n# and rules\n\n{rules}\n  % end") == \
+        parse_horn(rules)
 
 
 def test_cfg_enumerate_small():
@@ -308,13 +339,28 @@ def test_parse_horn_names_each_underscore_apart():
         parse_horn("p(_).")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("q(b).\nh(a) :- q(_).",
+     "anonymous variable '_' (argument 1 of q) is used nowhere else"),
+    ("q(a).\nh(_) :- q(a).",
+     "anonymous variable '_' (argument 1 of h) is not bound by the body"),
+    ("r(a, b).\nh(X, _) :- r(a, X).",
+     "anonymous variable '_' (argument 2 of h) is not bound by the body"),
+], ids=["body", "head", "second-head-argument"])
+def test_horn_messages_name_anonymous_variable_by_place(text, message):
+    with pytest.raises(UnsupportedRule, match=re.escape(message)):
+        horn_to_bc(parse_horn(text))
+
+
 def test_parse_horn_rejects_fact_with_variable():
     with pytest.raises(ValueError):
         parse_horn("girl(X).")
 
 
 @pytest.mark.parametrize("text", ["p([a]).", "q(b c).", "p q.", "p [q](a).",
-                                  "p(a(b)).", "p(a)(b).", "p(a))."])
+                                  "p(a(b)).", "p(a)(b).", "p(a)).", "p(a",
+                                  "p(a,).", "h(X) :- q(X), .", "h :- , q.",
+                                  "p(a) :- ."])
 def test_parse_horn_rejects_term_that_is_not_one_word(text):
     with pytest.raises(ValueError):
         parse_horn(text)

@@ -257,6 +257,13 @@ def test_closure_matches_reference_tight_limits(addition_program, limits,
 # sample
 
 
+@pytest.mark.parametrize("field", ["max_rounds", "max_statements",
+                                   "max_tokens_per_statement"])
+def test_expansion_limits_reject_zero(field):
+    with pytest.raises(ValueError, match=field):
+        ExpansionLimits(**{field: 0})
+
+
 def test_sample_deterministic(girls_ponies):
     a = sample(girls_ponies, LIMITS, seed=5, count=4)
     b = sample(girls_ponies, LIMITS, seed=5, count=4)
@@ -299,6 +306,14 @@ def test_sample_golden(sibling_horn, addition_program):
     assert [str(s) for s in sample(addition_program, limits, 3, 8)] == [
         "BEFORE 8 IS 7", "ANOTHER NUMBER 8", "9 + 0 = 9", "1 + 8 = 9",
         "2 + 2 = 4", "NUMBER 10", "ANOTHER NUMBER 0", "ANOTHER NUMBER 6"]
+
+
+@pytest.mark.parametrize("text, limits", [
+    ("A\n[A]", LIMITS),  # [A] takes the empty ending and leaves nothing
+    ("A x y z\n[A] [A]", ExpansionLimits(max_tokens_per_statement=4)),
+])
+def test_sample_drops_a_draw_that_is_empty_or_over_the_token_cap(text, limits):
+    assert sample(parse_program(text), limits, 0, 3) == []
 
 
 def test_sample_draws_nothing_for_an_ungroundable_statement():

@@ -73,12 +73,6 @@ def test_parse_serialize_identity_random():
         assert parse_statement(serialize_statement(s)) == s
 
 
-def test_depth_matches_nesting():
-    assert parse_statement("A B").depth() == 0
-    assert parse_statement("[A] B").depth() == 1
-    assert parse_statement("[[A] B] [C]").depth() == 2
-
-
 def test_program_size():
     assert program_size(Program([])) == 0
     assert program_size(Program([words("GIRL", "MARY")])) == 9
@@ -100,6 +94,7 @@ def test_program_deduplicates():
     p = parse_program("A B\n# comment\n\nA   B\nC D")
     assert len(p) == 2
     assert p.duplicates_dropped == 1
+    assert repr(p) == "Program(2 statements)"
 
 
 def test_program_order_preserved():
