@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .engine import ExpansionLimits, closure, ripe_contents
 from .errors import BudgetTooSmall
 from .metrics import FrontierPoint, MetricsReport, evaluate
-from .syntax import (Bracket, Element, Program, Statement, alias,
+from .syntax import (WORD_RE, Bracket, Element, Program, Statement, alias,
                      fresh_word, program_size)
 
 _MAX_NEIGHBORS = 300
@@ -49,7 +49,8 @@ class SearchConfig:
 @dataclass(frozen=True)
 class Candidate:
     program: Program
-    report: MetricsReport
+    #: None for a program over the budget, which is never closed.
+    report: MetricsReport | None
     objective: float
 
 
@@ -150,15 +151,13 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
     stmts = list(prog)
     cats = _categories(prog)
     # every word of the corpus and of the program, inside brackets too
-    taken = set(str(prog).replace("[", " ").replace("]", " ").split())
+    taken = set(WORD_RE.findall(str(prog)))
     taken.update(w for s in corpus for w in s.words)
     alias_word = fresh_word("CAT", taken)
     results: dict[Program, None] = {}
 
     def emit(statements: Iterable[Statement]) -> None:
-        p = Program(statements)
-        if p != prog:
-            results[p] = None
+        results[Program(statements)] = None
 
     # (a) merge two categories
     for w1, w2 in combinations(cats, 2):
@@ -226,16 +225,14 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
 
 def evaluate_program(program: Program, corpus: Iterable[Statement],
                      config: SearchConfig) -> Candidate:
-    """Score a candidate with the exact closure + metrics pipeline."""
+    """Score a program by closure + metrics; over the budget, -inf unclosed."""
     size = program_size(program)
+    if size > config.budget_chars:
+        return Candidate(program, None, float("-inf"))
     result = closure(program, config.limits)
     report = evaluate(result.bracket_free, corpus, size, result.truncated.any)
-    if size <= config.budget_chars:
-        objective = float(report.completeness) + \
-            config.lambda_accuracy * float(report.accuracy)
-    else:
-        objective = float("-inf")
-    return Candidate(program, report, objective)
+    return Candidate(program, report, float(report.completeness)
+                     + config.lambda_accuracy * float(report.accuracy))
 
 
 def _greedy_prefix(corpus: Sequence[Statement], budget: int) -> Program:

@@ -73,6 +73,8 @@ def parse_cfg(text: str) -> CFG:
             nonterminals.append(lhs)
         for alt in rhs_text.split("|"):
             symbols = tuple(_word(sym, stripped) for sym in alt.split())
+            if not symbols:
+                raise ValueError(f"empty alternative, write eps: {stripped!r}")
             if ARROW in symbols:
                 raise ReservedSymbolClash(
                     f"{ARROW!r} used as a grammar symbol: {stripped!r}")
@@ -288,7 +290,6 @@ def horn_to_bc(h: HornProgram) -> Program:
 
     for rule in h.rules:
         binders: dict[Var, Bracket] = {}
-        contents: set[tuple[Element, ...]] = set()
         guards: list[Bracket] = []
         for i, atom in enumerate(rule.body):
             new_vars = [v for v in atom.variables() if v not in binders]
@@ -304,11 +305,10 @@ def horn_to_bc(h: HornProgram) -> Program:
                 raise UnsupportedRule(
                     f"{_named('body', var, atom)} is used nowhere else")
             binder = Bracket(_render_args((atom.pred, *atom.args[:-1]), binders))
-            if binder.elements in contents:
+            if binder in binders.values():
                 statement, binder = alias(
                     binder.elements, fresh_word(_alias_stem(atom.pred), taken, 2))
                 statements.append(statement)
-            contents.add(binder.elements)
             binders[var] = binder
         for var in rule.head.variables():
             if var not in binders:

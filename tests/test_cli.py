@@ -1,6 +1,6 @@
 import pytest
 
-from bracketc import cli
+from bracketc import cli, parse_program
 from bracketc.cli import main
 
 GIRLS = "GIRL LINDA\nGIRL MARY\n[GIRL] LIKES PONIES\n"
@@ -159,6 +159,14 @@ def test_compress_and_output(files, capsys):
     assert "# seed 0" in err and "completeness=" in err
 
 
+def test_compress_output_dash_is_stdout(files, capsys):
+    _, _, corpus = files
+    assert main(["compress", corpus, "--budget", "60", "--iterations", "2",
+                 "-o", "-"]) == 0
+    out = capsys.readouterr().out
+    assert parse_program(out) and "completeness=" not in out
+
+
 def test_frontier_rows(files, tmp_path, capsys):
     _, _, corpus = files
     csv_path = tmp_path / "frontier.csv"
@@ -181,6 +189,11 @@ def test_frontier_reports_skipped_budget(files, tmp_path, capsys):
     lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
     labels = [line.split(",")[0] for line in lines[1:]]
     assert labels == ["compress", "a", "b", "c"]
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: bracketc" in capsys.readouterr().out
 
 
 def test_unknown_flag_rejected(files):

@@ -217,6 +217,26 @@ def test_compress_never_over_budget(templated_corpus):
         assert program_size(cand.program) <= int(raw * frac)
 
 
+def test_evaluate_program_closes_no_program_over_budget(templated_corpus,
+                                                        monkeypatch):
+    program = Program(templated_corpus)
+    cfg = config(program_size(program) - 1)
+
+    def no_closure(*args):
+        raise AssertionError("closure called")
+
+    monkeypatch.setattr(importlib.import_module("bracketc.compress"),
+                        "closure", no_closure)
+    over = evaluate_program(program, templated_corpus, cfg)
+    assert over.report is None and over.objective == float("-inf")
+    monkeypatch.undo()
+    within = evaluate_program(program, templated_corpus,
+                              config(program_size(program)))
+    assert within.report == evaluate(templated_corpus, templated_corpus,
+                                     program_size(program), False)
+    assert within.objective == 1.5
+
+
 def test_compress_beats_starts(templated_corpus):
     cfg = config(160)
     starts = [_greedy_prefix(templated_corpus, cfg.budget_chars),
@@ -282,6 +302,11 @@ def test_frontier_sweep_skips_tiny_budget(templated_corpus):
     raw = program_size(Program(templated_corpus))
     pts = frontier_sweep(templated_corpus, [2, raw], config(raw))
     assert len(pts) == 4  # tiny budget skipped, references still present
+
+
+def test_frontier_sweep_rejects_a_budget_below_one(templated_corpus):
+    with pytest.raises(ValueError, match="positive"):
+        frontier_sweep(templated_corpus, [60, 0], config(60))
 
 
 def test_search_config_rejects_negative_iterations():

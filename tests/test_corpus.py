@@ -43,6 +43,11 @@ def test_bracket_rejected():
         corpus_from_text("A [B] C")
 
 
+def test_closing_bracket_rejected():
+    with pytest.raises(BracketInCorpus):
+        corpus_from_text("a ] b")
+
+
 def test_load_idempotent(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("MARY LIKES PONIES\nTOM , NOT !\n", encoding="utf-8")

@@ -84,6 +84,9 @@ def test_parse_cfg_rejects_arrow_symbol():
     ("S a", "without '->'"),
     ("", "no productions"),
     ("# a comment only\n\n", "no productions"),
+    ("S -> a |", "empty alternative, write eps"),
+    ("S -> a | | b", "empty alternative, write eps"),
+    ("S ->", "empty alternative, write eps"),
 ])
 def test_parse_cfg_rejects_malformed_text(text, message):
     with pytest.raises(ValueError, match=message):
@@ -110,6 +113,10 @@ def test_parse_skips_blank_and_comment_lines():
         parse_horn(rules)
 
 
+def test_parse_cfg_joins_the_lines_of_one_left_side():
+    assert parse_cfg("S -> a S\nS -> b") == parse_cfg("S -> a S | b")
+
+
 def test_cfg_enumerate_small():
     g = parse_cfg(PALINDROME)
     assert cfg_enumerate(g, 2) == {(), ("A", "A"), ("B", "B")}
@@ -130,6 +137,12 @@ def test_cfg_enumerate_nullability():
 def test_cfg_enumerate_no_terminal_production():
     g = CFG(frozenset({"S"}), frozenset(), "S", (("S", ("S", "S")),))
     assert cfg_enumerate(g, 5) == frozenset()
+
+
+def test_cfg_strings_from_closure_drops_strings_over_max_len():
+    derived = [Statement(("S", "->", "a")), Statement(("S", "->", "a", "b")),
+               Statement(("T", "->", "a"))]
+    assert cfg_strings_from_closure(derived, "S", 1) == {("a",)}
 
 
 def _bc_language(g, max_len):
@@ -297,6 +310,15 @@ def test_horn_alias_avoids_vocabulary():
     aliases = {str(s).split()[0] for s in program if not s.bracket_free}
     assert "FC2" not in aliases - {"SIBLING"}
     assert "FC3" in {str(s).split()[0] for s in program}
+
+
+@pytest.mark.parametrize("pred, word", [("r", "r2"), ("a__b", "ab2")])
+def test_horn_alias_word_of_a_predicate_without_initials(pred, word):
+    # `r` has no underscore, so it is its own stem; `a__b`'s empty part
+    # adds no initial
+    h = parse_horn(f"{pred}(c, d).\nh(X, Y) :- {pred}(c, X), {pred}(c, Y).")
+    assert str(horn_to_bc(h)) == \
+        f"{pred} c d\n{word} [{pred} c]\nh [{pred} c] [{word}]"
 
 
 @settings(max_examples=100, deadline=None)

@@ -253,6 +253,18 @@ def test_closure_matches_reference_tight_limits(addition_program, limits,
     assert getattr(r.truncated, flag)
 
 
+@pytest.mark.parametrize("limits,flag", [
+    (ExpansionLimits(100, 30, 7), "statements"),
+    (ExpansionLimits(100, 100_000, 4), "tokens"),
+])
+def test_closure_truncated_any_when_one_cap_trips(addition_program, limits,
+                                                  flag):
+    flags = closure(addition_program, limits).truncated
+    assert flags.any
+    assert [name for name in ("rounds", "statements", "tokens")
+            if getattr(flags, name)] == [flag]
+
+
 # ---------------------------------------------------------------------------
 # sample
 

@@ -97,6 +97,11 @@ def test_program_deduplicates():
     assert repr(p) == "Program(2 statements)"
 
 
+def test_program_is_unequal_to_its_text():
+    p = parse_program("A B")
+    assert p != "A B" and str(p) == "A B"
+
+
 def test_program_order_preserved():
     p = parse_program("C D\nA B")
     assert [str(s) for s in p] == ["C D", "A B"]

@@ -1,4 +1,5 @@
-"""List the statements of `src/bracketc/` that the test suite never runs.
+"""List the statements of `src/bracketc/` that the test suite never runs,
+and the conditions there that took only one truth value.
 
     python tests/unreached.py [pytest arguments]
 
@@ -8,13 +9,23 @@ lines only in frames whose code lives in `src/bracketc/`, then prints one
 Every AST statement counts as executable except docstrings, `def` and
 `class` lines, imports and bare annotations.  A statement has run when
 any line of it ran, its own lines ending where its first nested statement
-begins.  The exit status is pytest's.  Standard library only; pytest
+begins.
+
+In the same run an import hook compiles `src/bracketc/` with each
+condition wrapped in a call that records its truth value.  A condition is
+the test of an `if`, `elif` or `while`, the test of a conditional
+expression, an `if` filter of a comprehension, or an operand of `and` or
+`or`.  Then one `path:line: condition: only True` (or `only False`, or
+`never tested`) line follows for each condition that did not take both
+values.  The exit status is pytest's.  Standard library only; pytest
 itself must be installed to run the suite.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.machinery
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -23,6 +34,7 @@ PACKAGE = ROOT / "src" / "bracketc"
 
 _SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
             ast.Import, ast.ImportFrom)
+_RECORD = "__unreached_condition__"
 
 
 def _own_lines(node: ast.stmt) -> range:
@@ -47,10 +59,99 @@ def executable(tree: ast.Module) -> list[ast.stmt]:
     return out
 
 
+class Conditions(ast.NodeTransformer):
+    """Wraps each condition `c` in `__unreached_condition__(k, c)`, which
+    records `bool(c)` and returns `c`; `found[k]` is `(path, line, text)`."""
+
+    def __init__(self, path: str, source: str,
+                 found: list[tuple[str, int, str]]) -> None:
+        self.path, self.source, self.found = path, source, found
+
+    def _wrap(self, node: ast.expr) -> ast.expr:
+        text = " ".join(ast.get_source_segment(self.source, node).split())
+        key = ast.Constant(len(self.found))
+        self.found.append((self.path, node.lineno, text))
+        call = ast.Call(ast.Name(_RECORD, ast.Load()), [key, node], [])
+        return ast.copy_location(call, node)
+
+    def visit_If(self, node):  # also `elif`, `while` and `a if c else b`
+        self.generic_visit(node)
+        node.test = self._wrap(node.test)
+        return node
+
+    visit_While = visit_IfExp = visit_If
+
+    def visit_BoolOp(self, node: ast.BoolOp) -> ast.BoolOp:
+        self.generic_visit(node)
+        node.values = [self._wrap(v) for v in node.values]
+        return node
+
+    def visit_comprehension(self, node: ast.comprehension) -> ast.comprehension:
+        self.generic_visit(node)
+        node.ifs = [self._wrap(c) for c in node.ifs]
+        return node
+
+
+class _Loader(importlib.machinery.SourceFileLoader):
+    """Compiles a module of the package with its conditions wrapped; never
+    reads or writes cached bytecode."""
+
+    def __init__(self, fullname: str, path: str, record) -> None:
+        super().__init__(fullname, path)
+        self.record = record
+
+    def get_code(self, fullname: str):
+        source = self.get_data(self.path).decode("utf-8")
+        tree = Conditions(self.path, source, self.record.where).visit(
+            ast.parse(source, self.path))
+        tree = ast.fix_missing_locations(tree)
+        return compile(tree, self.path, "exec", dont_inherit=True)
+
+    def exec_module(self, module) -> None:
+        module.__dict__[_RECORD] = self.record
+        super().exec_module(module)
+
+
+class ConditionRecord:
+    """An import hook for `src/bracketc/` and the truth values it saw."""
+
+    def __init__(self) -> None:
+        self.where: list[tuple[str, int, str]] = []
+        self.seen: set[tuple[int, bool]] = set()
+
+    def __call__(self, key: int, value):
+        self.seen.add((key, bool(value)))
+        return value
+
+    def find_spec(self, fullname: str, path=None, target=None):
+        if fullname.partition(".")[0] != "bracketc":
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(fullname, path)
+        if spec is None or not str(spec.origin).startswith(str(PACKAGE)):
+            return None
+        return importlib.util.spec_from_file_location(
+            fullname, spec.origin,
+            loader=_Loader(fullname, spec.origin, self),
+            submodule_search_locations=spec.submodule_search_locations)
+
+    def one_sided(self) -> list[tuple[str, int, str, str]]:
+        """`(path, line, text, what)` for each condition short of both
+        values, in file order."""
+        out = []
+        for key, (path, line, text) in enumerate(self.where):
+            values = {v for v in (True, False) if (key, v) in self.seen}
+            if len(values) < 2:
+                what = f"only {values.pop()}" if values else "never tested"
+                out.append((path, line, text, what))
+        return sorted(out, key=lambda c: (c[0], c[1]))
+
+
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     import pytest
 
+    record = ConditionRecord()
+    sys.meta_path.insert(0, record)
     prefix = str(PACKAGE) + "/"
     ran: set[tuple[str, int]] = set()
 
@@ -70,6 +171,7 @@ def main(argv: list[str]) -> int:
         status = pytest.main(argv or [str(ROOT / "tests")])
     finally:
         sys.settrace(None)
+        sys.meta_path.remove(record)
 
     missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
@@ -83,6 +185,10 @@ def main(argv: list[str]) -> int:
                 print(f"{path.relative_to(ROOT)}:{node.lineno}: "
                       f"{text[node.lineno - 1].strip()}")
     print(f"{missed} executable statement(s) never ran")
+    one_sided = record.one_sided()
+    for path, line, text, what in one_sided:
+        print(f"{Path(path).relative_to(ROOT)}:{line}: {text}: {what}")
+    print(f"{len(one_sided)} condition(s) took only one truth value")
     return int(status)
 
 
