@@ -128,7 +128,7 @@ def _categories(prog: Program) -> list[str]:
     of a bracket-free statement."""
     in_brackets = {c[0] for st in prog for c in ripe_contents(st)
                    if len(c) == 1}
-    heads = {st.words[0] for st in prog if st.bracket_free and st.words}
+    heads = {st.words[0] for st in prog if st.bracket_free}
     return sorted(in_brackets & heads)
 
 

@@ -37,13 +37,16 @@ class Bracket:
 
 @dataclass(frozen=True)
 class Statement:
-    """One line of a BC program or corpus."""
+    """One line of a BC program or corpus: at least one element, since an
+    empty line neither serialises nor parses back."""
 
     elements: tuple[Element, ...]
     #: No element is a bracket, so `elements` are the words.
     bracket_free: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not self.elements:
+            raise EmptyStatement("a statement needs at least one element")
         object.__setattr__(self, "bracket_free", _all_words(self.elements))
 
     @property

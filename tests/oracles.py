@@ -139,10 +139,6 @@ def forward_chain(h: HornProgram) -> set[tuple[str, ...]]:
     return facts
 
 
-def horn_facts_as_statements(facts: set[tuple[str, ...]]) -> set[Statement]:
-    return {Statement(f) for f in facts}
-
-
 def pareto_oracle(points: list[FrontierPoint]) -> set[int]:
     """Indices of non-dominated points by pairwise comparison."""
     kept = set()

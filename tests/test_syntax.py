@@ -37,6 +37,13 @@ def test_parse_empty():
         parse_statement("   ")
 
 
+def test_empty_statement_raises():
+    with pytest.raises(EmptyStatement):
+        Statement(())
+    with pytest.raises(EmptyStatement):
+        words()
+
+
 def test_serialize_round_trip():
     s = Statement((Bracket(("GIRL",)), "LIKES", "PONIES"))
     assert serialize_statement(s) == "[GIRL] LIKES PONIES"
@@ -58,9 +65,9 @@ def _random_statement(rng, depth=0):
     elements = []
     for _ in range(rng.randint(1, 4)):
         if depth < 2 and rng.random() < 0.3:
-            inner = _random_statement(rng, depth + 1) if rng.random() < 0.8 \
-                else Statement(())
-            elements.append(Bracket(inner.elements))
+            inner = _random_statement(rng, depth + 1).elements \
+                if rng.random() < 0.8 else ()
+            elements.append(Bracket(inner))
         else:
             elements.append(rng.choice("WXYZ") + str(rng.randint(0, 9)))
     return Statement(tuple(elements))

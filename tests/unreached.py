@@ -3,20 +3,19 @@ and the conditions there that took only one truth value.
 
     python tests/unreached.py [pytest arguments]
 
-Runs `pytest.main` (on `tests/` by default) under `sys.settrace`, tracing
-lines only in frames whose code lives in `src/bracketc/`, then prints one
-`path:line: statement` line for each executable statement that never ran.
-Every AST statement counts as executable except docstrings, `def` and
-`class` lines, imports and bare annotations.  A statement has run when
-any line of it ran, its own lines ending where its first nested statement
-begins.
+Runs `pytest.main` (on `tests/` by default, with `--hypothesis-seed=0`
+unless the arguments set a seed, so that the listing does not change from
+run to run) with an import hook that compiles `src/bracketc/` with a probe
+before each executable statement and each condition wrapped in a call
+that records its truth value.  Then it prints one `path:line: statement`
+line for each executable statement that never ran.  Every AST statement
+counts as executable except docstrings, `def` and `class` lines, imports
+and bare annotations.  A statement has run once execution reached it.
 
-In the same run an import hook compiles `src/bracketc/` with each
-condition wrapped in a call that records its truth value.  A condition is
-the test of an `if`, `elif` or `while`, the test of a conditional
-expression, an `if` filter of a comprehension, or an operand of `and` or
-`or`.  Then one `path:line: condition: only True` (or `only False`, or
-`never tested`) line follows for each condition that did not take both
+A condition is the test of an `if`, `elif` or `while`, the test of a
+conditional expression, an `if` filter of a comprehension, or an operand
+of `and` or `or`.  One `path:line: condition: only True` (or `only False`,
+or `never tested`) line follows for each condition that did not take both
 values.  The exit status is pytest's.  Standard library only; pytest
 itself must be installed to run the suite.
 """
@@ -34,44 +33,50 @@ PACKAGE = ROOT / "src" / "bracketc"
 
 _SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
             ast.Import, ast.ImportFrom)
-_RECORD = "__unreached_condition__"
+RECORD = "__unreached__"
 
 
-def _own_lines(node: ast.stmt) -> range:
-    """The lines of `node` up to its first nested statement."""
-    nested = [child.lineno for child in ast.walk(node)
-              if child is not node and isinstance(child, ast.stmt)]
-    return range(node.lineno, min(nested, default=node.end_lineno + 1))
+def executable(node: ast.AST) -> bool:
+    """Whether `node` is a statement that counts as executable."""
+    if not isinstance(node, ast.stmt) or isinstance(node, _SKIPPED):
+        return False
+    if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
+            and isinstance(node.value.value, str):
+        return False  # a docstring
+    return not (isinstance(node, ast.AnnAssign) and node.value is None)
 
 
-def executable(tree: ast.Module) -> list[ast.stmt]:
-    """The statements of `tree` that count as executable."""
-    out = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.stmt) or isinstance(node, _SKIPPED):
-            continue
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
-                and isinstance(node.value.value, str):
-            continue  # a docstring
-        if isinstance(node, ast.AnnAssign) and node.value is None:
-            continue  # a bare annotation
-        out.append(node)
-    return out
-
-
-class Conditions(ast.NodeTransformer):
-    """Wraps each condition `c` in `__unreached_condition__(k, c)`, which
-    records `bool(c)` and returns `c`; `found[k]` is `(path, line, text)`."""
+class Probes(ast.NodeTransformer):
+    """Puts `__unreached__.reached.add((path, line, column))` before each
+    executable statement, and wraps each condition `c` in
+    `__unreached__(k, c)`, which records `bool(c)` and returns `c`;
+    `found[k]` is `(path, line, text)`."""
 
     def __init__(self, path: str, source: str,
                  found: list[tuple[str, int, str]]) -> None:
         self.path, self.source, self.found = path, source, found
 
+    def generic_visit(self, node: ast.AST) -> ast.AST:
+        super().generic_visit(node)
+        for name, value in ast.iter_fields(node):
+            if isinstance(value, list) and value \
+                    and isinstance(value[0], ast.stmt):
+                setattr(node, name,
+                        [s for st in value for s in self._probed(st)])
+        return node
+
+    def _probed(self, st: ast.stmt) -> list[ast.stmt]:
+        if not executable(st):
+            return [st]
+        key = (self.path, st.lineno, st.col_offset)
+        probe = ast.parse(f"{RECORD}.reached.add({key!r})").body[0]
+        return [ast.copy_location(probe, st), st]
+
     def _wrap(self, node: ast.expr) -> ast.expr:
         text = " ".join(ast.get_source_segment(self.source, node).split())
         key = ast.Constant(len(self.found))
         self.found.append((self.path, node.lineno, text))
-        call = ast.Call(ast.Name(_RECORD, ast.Load()), [key, node], [])
+        call = ast.Call(ast.Name(RECORD, ast.Load()), [key, node], [])
         return ast.copy_location(call, node)
 
     def visit_If(self, node):  # also `elif`, `while` and `a if c else b`
@@ -92,36 +97,25 @@ class Conditions(ast.NodeTransformer):
         return node
 
 
-class _Loader(importlib.machinery.SourceFileLoader):
-    """Compiles a module of the package with its conditions wrapped; never
-    reads or writes cached bytecode."""
-
-    def __init__(self, fullname: str, path: str, record) -> None:
-        super().__init__(fullname, path)
-        self.record = record
-
-    def get_code(self, fullname: str):
-        source = self.get_data(self.path).decode("utf-8")
-        tree = Conditions(self.path, source, self.record.where).visit(
-            ast.parse(source, self.path))
-        tree = ast.fix_missing_locations(tree)
-        return compile(tree, self.path, "exec", dont_inherit=True)
-
-    def exec_module(self, module) -> None:
-        module.__dict__[_RECORD] = self.record
-        super().exec_module(module)
-
-
-class ConditionRecord:
-    """An import hook for `src/bracketc/` and the truth values it saw."""
+class Record:
+    """An import hook that compiles `src/bracketc/` instrumented, and the
+    statements and truth values that the instrumented code reached."""
 
     def __init__(self) -> None:
         self.where: list[tuple[str, int, str]] = []
         self.seen: set[tuple[int, bool]] = set()
+        self.reached: set[tuple[str, int, int]] = set()
 
     def __call__(self, key: int, value):
         self.seen.add((key, bool(value)))
         return value
+
+    def compile(self, source: str, path: str):
+        """The code of `source`, instrumented to record into this record
+        when run with `RECORD` bound to it."""
+        tree = Probes(path, source, self.where).visit(ast.parse(source, path))
+        return compile(ast.fix_missing_locations(tree), path, "exec",
+                       dont_inherit=True)
 
     def find_spec(self, fullname: str, path=None, target=None):
         if fullname.partition(".")[0] != "bracketc":
@@ -130,9 +124,28 @@ class ConditionRecord:
         if spec is None or not str(spec.origin).startswith(str(PACKAGE)):
             return None
         return importlib.util.spec_from_file_location(
-            fullname, spec.origin,
-            loader=_Loader(fullname, spec.origin, self),
+            fullname, spec.origin, loader=self,
             submodule_search_locations=spec.submodule_search_locations)
+
+    def create_module(self, spec) -> None:
+        return None  # the default module
+
+    def exec_module(self, module) -> None:
+        """Runs the module instrumented; never reads or writes cached
+        bytecode."""
+        path = module.__spec__.origin
+        module.__dict__[RECORD] = self
+        exec(self.compile(Path(path).read_text(encoding="utf-8"), path),
+             module.__dict__)
+
+    def never_ran(self, path: str, source: str) -> list[tuple[int, str]]:
+        """`(line, text)` for each executable statement of `source` that
+        execution never reached, in line order."""
+        text = source.splitlines()
+        nodes = sorted(filter(executable, ast.walk(ast.parse(source))),
+                       key=lambda n: n.lineno)
+        return [(n.lineno, text[n.lineno - 1].strip()) for n in nodes
+                if (path, n.lineno, n.col_offset) not in self.reached]
 
     def one_sided(self) -> list[tuple[str, int, str, str]]:
         """`(path, line, text, what)` for each condition short of both
@@ -150,40 +163,22 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     import pytest
 
-    record = ConditionRecord()
+    args = argv or [str(ROOT / "tests")]
+    if not any(a.startswith("--hypothesis-seed") for a in args):
+        args = [*args, "--hypothesis-seed=0"]
+    record = Record()
     sys.meta_path.insert(0, record)
-    prefix = str(PACKAGE) + "/"
-    ran: set[tuple[str, int]] = set()
-
-    def local(frame, event, arg):
-        if event == "line":
-            ran.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
-
-    def tracer(frame, event, arg):
-        if frame.f_code.co_filename.startswith(prefix):
-            ran.add((frame.f_code.co_filename, frame.f_lineno))
-            return local
-        return None
-
-    sys.settrace(tracer)
     try:
-        status = pytest.main(argv or [str(ROOT / "tests")])
+        status = pytest.main(args)
     finally:
-        sys.settrace(None)
         sys.meta_path.remove(record)
 
     missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        text = source.splitlines()
-        for node in sorted(executable(ast.parse(source)),
-                           key=lambda n: n.lineno):
-            name = str(path)
-            if not any((name, line) in ran for line in _own_lines(node)):
-                missed += 1
-                print(f"{path.relative_to(ROOT)}:{node.lineno}: "
-                      f"{text[node.lineno - 1].strip()}")
+        for line, text in record.never_ran(str(path),
+                                           path.read_text(encoding="utf-8")):
+            missed += 1
+            print(f"{path.relative_to(ROOT)}:{line}: {text}")
     print(f"{missed} executable statement(s) never ran")
     one_sided = record.one_sided()
     for path, line, text, what in one_sided:
