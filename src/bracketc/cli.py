@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from .compress import SearchConfig, compress, frontier_sweep
@@ -70,8 +71,8 @@ def _tokenizer(args: argparse.Namespace) -> TokenizerOptions:
 def _truncation_header(result, limits: ExpansionLimits) -> list[str]:
     if not result.truncated.any:
         return []
-    tripped = [name for name in ("rounds", "statements", "tokens")
-               if getattr(result.truncated, name)]
+    tripped = [f.name for f in fields(result.truncated)
+               if getattr(result.truncated, f.name)]
     return [f"# truncated: {','.join(tripped)} "
             f"(max_rounds={limits.max_rounds} "
             f"max_statements={limits.max_statements} "
@@ -86,13 +87,12 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text + "\n")
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> None:
     program = load_program(args.program)
     print(f"{len(program)} statements")
     if program.duplicates_dropped:
         print(f"# {program.duplicates_dropped} duplicate lines dropped",
               file=sys.stderr)
-    return 0
 
 
 def _program_first(statements: Sequence[Statement],
@@ -102,7 +102,7 @@ def _program_first(statements: Sequence[Statement],
         sorted(str(s) for s in statements if s not in program)
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args: argparse.Namespace) -> None:
     program = load_program(args.program)
     limits = _limits(args)
     result = closure(program, limits)
@@ -112,19 +112,17 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         lines.append("# residual")
         lines += _program_first(result.residual, program)
     print("\n".join(lines))
-    return 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(args: argparse.Namespace) -> None:
     program = load_program(args.program)
     statements = sample(program, _limits(args), args.seed, args.count)
     print(f"# seed {args.seed}")
     for s in statements:
         print(s)
-    return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
+def _cmd_metrics(args: argparse.Namespace) -> None:
     program = load_program(args.program)
     corpus = load_corpus(args.corpus, _tokenizer(args))
     limits = _limits(args)
@@ -138,26 +136,23 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         for line in _truncation_header(result, limits):
             print(line)
         print(report.as_kv())
-    return 0
 
 
-def _cmd_encode(args: argparse.Namespace) -> int:
+def _cmd_encode(args: argparse.Namespace) -> None:
     with open(args.source, encoding="utf-8") as fh:
         source = args.parse(fh.read())
     _write(args.output, str(args.encode(source)))
-    return 0
 
 
-def _cmd_compress(args: argparse.Namespace) -> int:
+def _cmd_compress(args: argparse.Namespace) -> None:
     corpus = load_corpus(args.corpus, _tokenizer(args))
     cand = compress(corpus, _search_config(args, args.budget))
     _write(args.output, str(cand.program))
     print(f"# seed {args.seed}", file=sys.stderr)
     print(cand.report.as_kv(), file=sys.stderr)
-    return 0
 
 
-def _cmd_frontier(args: argparse.Namespace) -> int:
+def _cmd_frontier(args: argparse.Namespace) -> None:
     corpus = load_corpus(args.corpus, _tokenizer(args))
     budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
     # frontier_sweep rejects an empty list and sets each run's budget
@@ -169,7 +164,6 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
               file=sys.stderr)
     rows = [CSV_HEADER] + [p.as_csv_row() for p in points]
     _write(args.csv, "\n".join(rows))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,13 +231,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        args.func(args)
     except (BCError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

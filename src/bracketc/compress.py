@@ -18,7 +18,7 @@ from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .engine import ExpansionLimits, closure, ripe_contents
-from .errors import BudgetTooSmall
+from .errors import BudgetTooSmall, EmptyCorpus
 from .metrics import FrontierPoint, MetricsReport, evaluate
 from .syntax import (WORD_RE, Bracket, Element, Program, Statement, alias,
                      fresh_word, program_size)
@@ -256,7 +256,7 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
     """
     corpus = list(dict.fromkeys(corpus))
     if not corpus:
-        raise BudgetTooSmall("corpus is empty")
+        raise EmptyCorpus("corpus is empty")
     if config.budget_chars < min(len(str(s)) for s in corpus):
         raise BudgetTooSmall(
             f"budget {config.budget_chars} fits no single corpus statement")

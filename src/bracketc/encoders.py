@@ -65,9 +65,9 @@ def parse_cfg(text: str) -> CFG:
     productions: list[tuple[str, tuple[str, ...]]] = []
     nonterminals: list[str] = []
     for stripped in lines(text):
-        if "->" not in stripped:
-            raise ValueError(f"grammar line without '->': {stripped!r}")
-        lhs, rhs_text = stripped.split("->", 1)
+        if ARROW not in stripped:
+            raise ValueError(f"grammar line without {ARROW!r}: {stripped!r}")
+        lhs, rhs_text = stripped.split(ARROW, 1)
         lhs = _word(lhs.strip(), stripped)
         if lhs not in nonterminals:
             nonterminals.append(lhs)
@@ -185,15 +185,6 @@ class HornProgram:
     facts: tuple[Atom, ...] = ()
     rules: tuple[HornRule, ...] = ()
 
-    def vocabulary(self) -> set[str]:
-        vocab: set[str] = set()
-        for atom in _atoms(self):
-            vocab.add(atom.pred)
-            for arg in atom.args:
-                if isinstance(arg, str):
-                    vocab.add(arg)
-        return vocab
-
 
 def _atoms(h: HornProgram) -> list[Atom]:
     return list(h.facts) + [a for r in h.rules for a in (r.head, *r.body)]
@@ -279,11 +270,12 @@ def horn_to_bc(h: HornProgram) -> Program:
     its own predicate.  Anything else raises UnsupportedRule.
     """
     statements: list[Statement] = []
-    taken = h.vocabulary()
+    taken: set[str] = set()  # predicates and constants; aliases avoid them
     arity: dict[str, int] = {}
     for atom in _atoms(h):
         if arity.setdefault(atom.pred, len(atom.args)) != len(atom.args):
             raise UnsupportedRule(f"predicate {atom.pred!r} has two arities")
+        taken.update(a for a in (atom.pred, *atom.args) if isinstance(a, str))
 
     for fact in h.facts:
         statements.append(Statement((fact.pred, *fact.args)))  # type: ignore[arg-type]

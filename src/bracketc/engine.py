@@ -10,7 +10,7 @@ one replacement class of their own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -30,9 +30,9 @@ class ExpansionLimits:
     max_tokens_per_statement: int = 64
 
     def __post_init__(self) -> None:
-        for name in ("max_rounds", "max_statements", "max_tokens_per_statement"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
 
 
 @dataclass

@@ -7,7 +7,7 @@ corpus.  Both are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -15,6 +15,13 @@ from .errors import EmptyCorpus
 from .syntax import Statement
 
 CSV_HEADER = "method,budget,size,accuracy,completeness,m,c,intersection,truncated"
+
+
+def _format(value: object) -> str:
+    """A report value as printed: fractions to six places, bools lower case."""
+    if isinstance(value, Fraction):
+        return f"{float(value):.6f}"
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 @dataclass(frozen=True)
@@ -28,16 +35,8 @@ class MetricsReport:
     truncated: bool
 
     def as_kv(self) -> str:
-        lines = [
-            f"accuracy={float(self.accuracy):.6f}",
-            f"completeness={float(self.completeness):.6f}",
-            f"size_chars={self.size_chars}",
-            f"m_count={self.m_count}",
-            f"c_count={self.c_count}",
-            f"intersection_count={self.intersection_count}",
-            f"truncated={str(self.truncated).lower()}",
-        ]
-        return "\n".join(lines)
+        return "\n".join(f"{f.name}={_format(getattr(self, f.name))}"
+                         for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -48,17 +47,10 @@ class FrontierPoint:
 
     def as_csv_row(self) -> str:
         r = self.report
-        return ",".join([
-            self.method_label,
-            str(self.budget_chars),
-            str(r.size_chars),
-            f"{float(r.accuracy):.6f}",
-            f"{float(r.completeness):.6f}",
-            str(r.m_count),
-            str(r.c_count),
-            str(r.intersection_count),
-            str(r.truncated).lower(),
-        ])
+        return ",".join(map(_format, [
+            self.method_label, self.budget_chars, r.size_chars, r.accuracy,
+            r.completeness, r.m_count, r.c_count, r.intersection_count,
+            r.truncated]))
 
 
 def evaluate(m: Iterable[Statement], c: Iterable[Statement],

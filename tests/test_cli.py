@@ -78,12 +78,21 @@ def test_expand_reproducible(files, capsys):
 
 
 def test_expand_truncation_header(tmp_path, capsys):
-    prog = tmp_path / "loop.bc"
-    prog.write_text("NUMBER 0\nNUMBER X [NUMBER]\n", encoding="utf-8")
-    assert main(["expand", str(prog), "--max-rounds", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("# truncated: rounds")
-    assert "max_rounds=2" in out
+    cases = [
+        ("NUMBER 0\nNUMBER X [NUMBER]\n", ["--max-rounds", "2"],
+         "# truncated: rounds "
+         "(max_rounds=2 max_statements=100000 max_tokens=64)"),
+        # "B a a a" is over the token cap, then "B b" over the statement cap
+        ("A a a a\nA b\nB [A]\n",
+         ["--max-statements", "3", "--max-tokens", "3"],
+         "# truncated: statements,tokens "
+         "(max_rounds=100 max_statements=3 max_tokens=3)"),
+    ]
+    prog = tmp_path / "capped.bc"
+    for text, flags, header in cases:
+        prog.write_text(text, encoding="utf-8")
+        assert main(["expand", str(prog), *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == header
 
 
 def test_sample_seed_printed(files, capsys):

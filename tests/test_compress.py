@@ -6,10 +6,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bracketc import (BudgetTooSmall, ExpansionLimits, Program, SearchConfig,
-                      closure, compress, evaluate, frontier_sweep,
-                      induce_slots, neighbors, parse_program, parse_statement,
-                      program_size, reference_points, words)
+from bracketc import (BudgetTooSmall, EmptyCorpus, ExpansionLimits, Program,
+                      SearchConfig, closure, compress, evaluate,
+                      frontier_sweep, induce_slots, neighbors, parse_program,
+                      parse_statement, program_size, reference_points, words)
 from bracketc.cli import main
 from bracketc.compress import evaluate_program, _greedy_prefix
 
@@ -191,7 +191,7 @@ def test_induced_and_neighbour_programs_round_trip(corpus):
 def test_compress_budget_too_small(templated_corpus):
     with pytest.raises(BudgetTooSmall):
         compress(templated_corpus, config(3))
-    with pytest.raises(BudgetTooSmall):
+    with pytest.raises(EmptyCorpus):
         compress([], config(3))
 
 

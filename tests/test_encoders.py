@@ -290,7 +290,9 @@ def test_horn_predicate_with_two_arities():
 
 
 def test_horn_alias_hygiene(sibling_horn):
-    vocab = sibling_horn.vocabulary()
+    atoms = [*sibling_horn.facts,
+             *(a for r in sibling_horn.rules for a in (r.head, *r.body))]
+    vocab = {w for a in atoms for w in (a.pred, *a.args) if isinstance(w, str)}
     program = horn_to_bc(sibling_horn)
     heads = {s.words[0] for s in program if s.bracket_free}
     alias_heads = {str(s).split()[0] for s in program

@@ -111,7 +111,17 @@ def test_pareto_matches_oracle_random_clouds():
         assert sizes == sorted(sizes)
 
 
+THIRD = MetricsReport(Fraction(1, 3), Fraction(2, 3), 7, 3, 2, 1, True)
+
+
 def test_csv_row_format():
     p = point(0.5, 1.0, 7)
-    row = p.as_csv_row()
-    assert row == "x,7,7,0.500000,1.000000,1,1,1,false"
+    assert p.as_csv_row() == "x,7,7,0.500000,1.000000,1,1,1,false"
+    third = FrontierPoint(9, THIRD, "x")
+    assert third.as_csv_row() == "x,9,7,0.333333,0.666667,3,2,1,true"
+
+
+def test_kv_format():
+    assert THIRD.as_kv() == (
+        "accuracy=0.333333\ncompleteness=0.666667\nsize_chars=7\n"
+        "m_count=3\nc_count=2\nintersection_count=1\ntruncated=true")

@@ -7,8 +7,10 @@ Runs `pytest.main` (on `tests/` by default, with `--hypothesis-seed=0`
 unless the arguments set a seed, so that the listing does not change from
 run to run) with an import hook that compiles `src/bracketc/` with a probe
 before each executable statement and each condition wrapped in a call
-that records its truth value.  Then it prints one `path:line: statement`
-line for each executable statement that never ran.  Every AST statement
+that records its truth value.  After the run it compiles, without running,
+each module there that the run never imported, so that every module is
+read and parsed once.  Then it prints one `path:line: statement` line for
+each executable statement that never ran.  Every AST statement
 counts as executable except docstrings, `def` and `class` lines, imports
 and bare annotations.  A statement has run once execution reached it.
 
@@ -47,14 +49,18 @@ def executable(node: ast.AST) -> bool:
 
 
 class Probes(ast.NodeTransformer):
-    """Puts `__unreached__.reached.add((path, line, column))` before each
-    executable statement, and wraps each condition `c` in
-    `__unreached__(k, c)`, which records `bool(c)` and returns `c`;
-    `found[k]` is `(path, line, text)`."""
+    """Puts `__unreached__.reached.add(key)` before each executable
+    statement, where `key` is `(path, line, column)` and `placed[key]` the
+    text of its line, and wraps each condition `c` in `__unreached__(k, c)`,
+    which records `bool(c)` and returns `c`; `found[k]` is
+    `(path, line, text)`."""
 
     def __init__(self, path: str, source: str,
+                 placed: dict[tuple[str, int, int], str],
                  found: list[tuple[str, int, str]]) -> None:
-        self.path, self.source, self.found = path, source, found
+        self.path, self.source = path, source
+        self.lines = source.splitlines()
+        self.placed, self.found = placed, found
 
     def generic_visit(self, node: ast.AST) -> ast.AST:
         super().generic_visit(node)
@@ -69,6 +75,7 @@ class Probes(ast.NodeTransformer):
         if not executable(st):
             return [st]
         key = (self.path, st.lineno, st.col_offset)
+        self.placed[key] = self.lines[st.lineno - 1].strip()
         probe = ast.parse(f"{RECORD}.reached.add({key!r})").body[0]
         return [ast.copy_location(probe, st), st]
 
@@ -98,10 +105,13 @@ class Probes(ast.NodeTransformer):
 
 
 class Record:
-    """An import hook that compiles `src/bracketc/` instrumented, and the
-    statements and truth values that the instrumented code reached."""
+    """An import hook that compiles `src/bracketc/` instrumented, the
+    statements and conditions it instrumented, and the statements and truth
+    values that the instrumented code reached."""
 
     def __init__(self) -> None:
+        self.compiled: set[str] = set()
+        self.placed: dict[tuple[str, int, int], str] = {}
         self.where: list[tuple[str, int, str]] = []
         self.seen: set[tuple[int, bool]] = set()
         self.reached: set[tuple[str, int, int]] = set()
@@ -113,7 +123,9 @@ class Record:
     def compile(self, source: str, path: str):
         """The code of `source`, instrumented to record into this record
         when run with `RECORD` bound to it."""
-        tree = Probes(path, source, self.where).visit(ast.parse(source, path))
+        self.compiled.add(path)
+        probes = Probes(path, source, self.placed, self.where)
+        tree = probes.visit(ast.parse(source, path))
         return compile(ast.fix_missing_locations(tree), path, "exec",
                        dont_inherit=True)
 
@@ -138,14 +150,12 @@ class Record:
         exec(self.compile(Path(path).read_text(encoding="utf-8"), path),
              module.__dict__)
 
-    def never_ran(self, path: str, source: str) -> list[tuple[int, str]]:
-        """`(line, text)` for each executable statement of `source` that
-        execution never reached, in line order."""
-        text = source.splitlines()
-        nodes = sorted(filter(executable, ast.walk(ast.parse(source))),
-                       key=lambda n: n.lineno)
-        return [(n.lineno, text[n.lineno - 1].strip()) for n in nodes
-                if (path, n.lineno, n.col_offset) not in self.reached]
+    def never_ran(self) -> list[tuple[str, int, str]]:
+        """`(path, line, text)` for each executable statement compiled that
+        execution never reached, in file order."""
+        return [(key[0], key[1], text)
+                for key, text in sorted(self.placed.items())
+                if key not in self.reached]
 
     def one_sided(self) -> list[tuple[str, int, str, str]]:
         """`(path, line, text, what)` for each condition short of both
@@ -173,13 +183,13 @@ def main(argv: list[str]) -> int:
     finally:
         sys.meta_path.remove(record)
 
-    missed = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        for line, text in record.never_ran(str(path),
-                                           path.read_text(encoding="utf-8")):
-            missed += 1
-            print(f"{path.relative_to(ROOT)}:{line}: {text}")
-    print(f"{missed} executable statement(s) never ran")
+    for path in map(str, sorted(PACKAGE.glob("*.py"))):
+        if path not in record.compiled:  # never imported: listed whole
+            record.compile(Path(path).read_text(encoding="utf-8"), path)
+    never_ran = record.never_ran()
+    for path, line, text in never_ran:
+        print(f"{Path(path).relative_to(ROOT)}:{line}: {text}")
+    print(f"{len(never_ran)} executable statement(s) never ran")
     one_sided = record.one_sided()
     for path, line, text, what in one_sided:
         print(f"{Path(path).relative_to(ROOT)}:{line}: {text}: {what}")
