@@ -5,6 +5,12 @@ is replaced by the ending of a bracket-free statement that starts with the
 bracket's content.  Brackets with identical content within one statement
 are replaced identically; empty brackets match any full statement and form
 one replacement class of their own.
+
+`closure` evaluates rounds semi-naively over a content index: each ripe
+content's sorted endings in the pool, extended every round by the endings
+the last round's new bracket-free statements add (the fresh endings).  A
+statement expanded in an earlier round builds only the combinations that
+take a fresh ending.
 """
 
 from __future__ import annotations
@@ -126,18 +132,30 @@ def _choices(s: Statement,
     return choices
 
 
-def expand_statement(s: Statement, pool: Iterable[Statement]) -> list[Statement]:
+def expand_statement(s: Statement, pool: Iterable[Statement], *,
+                     endings: dict[WordSeq, list[WordSeq]] | None = None,
+                     fresh: dict[WordSeq, set[WordSeq]] | None = None,
+                     ) -> list[Statement]:
     """All one-step expansions of `s` against `pool`, deterministic order.
 
     Every ripe bracket of one content class receives the same ending.  If
     any class has no match the statement produces nothing this round
     (all-or-nothing; it may succeed against a richer pool later).
+
+    `endings`, if given, holds each class's sorted endings in `pool`, in
+    first-occurrence order, and `pool` is not scanned.  `fresh`, if given,
+    maps each class to the endings new since `s` was last expanded: then
+    only the combinations that take one of them are built, in the order
+    of the full product.
     """
-    choices = _choices(s, list(pool))
+    choices = _choices(s, list(pool)) if endings is None else endings
     results: list[Statement] = []
     if not choices:
         return results
+    new = None if fresh is None else [fresh[c] for c in choices]
     for combo in product(*choices.values()):
+        if new is not None and not any(map(set.__contains__, new, combo)):
+            continue  # all old: built when `s` was last expanded
         elements = _substitute(s.elements, dict(zip(choices, combo)))
         if elements:  # a lone removed guard could leave nothing
             results.append(Statement(elements))
@@ -151,18 +169,45 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     derivation order.  Each round matches every bracketed statement against
     the bracket-free pool as of round start, so the result does not depend
     on within-round processing order.
+
+    Rounds are semi-naive.  `index` holds each ripe content's sorted
+    endings in the pool, from one pool scan on first demand and then from
+    the statements the last round added (the round's fresh endings).  A
+    statement known when the last round began skips the round if no class
+    has a fresh ending, and otherwise builds only the combinations that
+    take one; the others expand in full.
     """
     known = dict.fromkeys(p)
+    new = list(known)  # retained by the last round; at first, the program
+    pool: list[Statement] = []
+    residual: list[tuple[Statement, list[WordSeq]]] = []  # ripe_contents
+    index: dict[WordSeq, list[WordSeq]] = {}
     flags = TruncationFlags()
     rounds_used = 0
     while not flags.rounds:
-        pool = [st for st in known if st.bracket_free]
-        residual = [st for st in known if not st.bracket_free]
+        added = [st for st in new if st.bracket_free]
+        pool += added
+        old = len(residual)  # expanded in the last round
+        residual += [(st, ripe_contents(st)) for st in new
+                     if not st.bracket_free]
         if not residual:
             break
-        size = len(known)
-        for st in residual:
-            for out in expand_statement(st, pool):
+        # An ending names its pool statement, so no ending of `added` is
+        # in the index yet.
+        fresh = {c: match_endings(c, added) for c in index}
+        for c, got in fresh.items():
+            if got:
+                index[c] = sorted([*index[c], *got])
+        new = []
+        for i, (st, cs) in enumerate(residual):
+            if i < old and not any(fresh[c] for c in cs):
+                continue
+            for c in cs:
+                if c not in index:
+                    index[c] = sorted(match_endings(c, pool))
+            for out in expand_statement(st, pool,
+                                        endings={c: index[c] for c in cs},
+                                        fresh=fresh if i < old else None):
                 if out in known:
                     continue
                 if out.token_count() > limits.max_tokens_per_statement:
@@ -172,10 +217,11 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
                     flags.statements = True
                     break
                 known[out] = None
+                new.append(out)
             if flags.statements:
                 break
         rounds_used += 1
-        if flags.statements or len(known) == size:
+        if flags.statements or not new:
             break
         flags.rounds = rounds_used == limits.max_rounds
 

@@ -1,9 +1,15 @@
 """The benchmark's self-test, so that a change to `src/` that breaks the
-benchmark's output checks fails the suite."""
+benchmark's output checks fails the suite, and its tracer on one closure,
+so that a closure that stops calling the engine's layers through the
+module fails the suite instead of zeroing the benchmark's layer metrics."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+from bracketc import ExpansionLimits
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -13,3 +19,23 @@ def test_bench_selftest_passes():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stdout + run.stderr
     assert "all cases ok" in run.stdout
+
+
+def test_traced_closure_counts_the_layers_it_calls(addition_program):
+    spec = importlib.util.spec_from_file_location(
+        "spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    bc = SimpleNamespace(**{m: sys.modules[f"bracketc.{m}"] for m in (
+        "engine", "syntax", "encoders", "corpus", "compress", "metrics")})
+    tracer = spans.Tracer()
+    tracer.install(bc)
+    try:
+        bc.engine.closure(addition_program, ExpansionLimits(100, 100_000, 7))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["engine.expand_statement.calls"] > 0
+    assert metrics["engine.expand_statement.produced"] > 0
+    assert metrics["engine.match_endings.probes"] > 0
+    assert metrics["engine.retained_per_produced"] > 0.1

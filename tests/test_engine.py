@@ -1,15 +1,17 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from bracketc import (ExpansionLimits, NoBracketedStatements, Program,
-                      UnsupportedRule, cfg_to_bc, closure, expand_statement,
-                      horn_to_bc, match_endings, parse_program,
-                      parse_statement, ripe_contents, sample, words)
+from bracketc import (Bracket, ExpansionLimits, NoBracketedStatements,
+                      Program, Statement, UnsupportedRule, cfg_to_bc, closure,
+                      expand_statement, horn_to_bc, match_endings,
+                      parse_program, parse_statement, ripe_contents, sample,
+                      words)
 
 from oracles import closure_reference, forward_chain, random_cfg
-from strategies import CLOSURE_PROGRAM, HORN_PROGRAM
+from strategies import CLOSURE_PROGRAM, CLOSURE_STATEMENT, HORN_PROGRAM
 
 LIMITS = ExpansionLimits()
 
@@ -94,6 +96,42 @@ def test_expand_varying_ending_lengths():
     s = parse_statement("X [W][W]")
     pool = [words("W", "a"), words("W", "b"), words("W", "c", "c")]
     assert strs(expand_statement(s, pool)) == {"X a a", "X b b", "X c c c c"}
+
+
+def _ground(elements, assignment):
+    """Each ripe bracket replaced by its class's ending, written apart from
+    the engine's substitution."""
+    out = []
+    for e in elements:
+        if not isinstance(e, Bracket):
+            out.append(e)
+        elif all(isinstance(w, str) for w in e.elements):
+            out.extend(assignment[e.elements])
+        else:
+            out.append(Bracket(_ground(e.elements, assignment)))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CLOSURE_STATEMENT.filter(lambda s: not s.bracket_free),
+       CLOSURE_PROGRAM, st.data())
+def test_expand_with_fresh_endings_drops_only_the_all_old_combinations(
+        s, program, data):
+    pool = [t for t in program if t.bracket_free]
+    endings = {c: sorted(match_endings(c, pool)) for c in ripe_contents(s)}
+    fresh = {c: data.draw(st.sets(st.sampled_from(e))) if e else set()
+             for c, e in endings.items()}
+    full, with_fresh = [], []
+    for combo in product(*endings.values()):
+        grounded = _ground(s.elements, dict(zip(endings, combo)))
+        if grounded:
+            full.append(Statement(grounded))
+            if any(e in fresh[c] for c, e in zip(endings, combo)):
+                with_fresh.append(full[-1])
+    assert expand_statement(s, pool) == full
+    assert expand_statement(s, pool, endings=endings) == full
+    assert expand_statement(s, pool, endings=endings,
+                            fresh=fresh) == with_fresh
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +278,27 @@ def test_closure_matches_reference_and_forward_chaining_horn(h):
     preds = {a.pred for a in h.facts} | {rule.head.pred for rule in h.rules}
     assert {s.words for s in r.bracket_free
             if s.words[0] in preds} == forward_chain(h)
+
+
+# `X [A] [B]` takes a fresh A ending in round 2 and a fresh B ending in
+# round 3; `A [P]` and `Q [R]` have no fresh ending after round 1; the empty
+# class of `Y [] [A]` has fresh endings every round until the token cap.
+MULTI_ROUND = parse_program(
+    "A a0\nB b0\nP a1\nR b1\nA [P]\nQ [R]\nB [Q]\nX [A] [B]\nY [] [A]")
+
+
+def test_closure_matches_reference_multi_round_at_every_cap():
+    r = _same_closure(MULTI_ROUND, ExpansionLimits(100, 100_000, 5))
+    assert r.truncated.tokens and r.rounds_used == 5
+    assert [str(s) for s in r.bracket_free if s.words[0] == "X"] == [
+        "X a0 b0", "X a1 b0", "X a0 b1", "X a1 b1"]
+    size = len(r.bracket_free) + len(r.residual)
+    for cap in range(len(MULTI_ROUND), size):
+        capped = _same_closure(MULTI_ROUND, ExpansionLimits(100, cap, 5))
+        assert capped.truncated.statements
+    for rounds in range(1, 5):
+        assert _same_closure(MULTI_ROUND, ExpansionLimits(
+            rounds, 100_000, 5)).truncated.rounds
 
 
 @pytest.mark.parametrize("limits,flag", [
