@@ -20,20 +20,13 @@ from typing import Iterable, Union
 
 from .engine import match_endings
 from .errors import ReservedSymbolClash, UnsupportedRule
-from .syntax import (WORD_RE, Bracket, Element, Program, Statement, alias,
-                     fresh_word, lines)
+from .syntax import (Bracket, Element, Program, Statement, alias, fresh_word,
+                     lines, one_word)
 
 ARROW = "->"
 
 # A Horn predicate or argument: a word without the atom syntax "(", ")", ",".
 _TERM_RE = re.compile(r"[^\s\[\](),]+")
-
-
-def _word(text: str, line: str, pattern: re.Pattern[str] = WORD_RE) -> str:
-    """`text` itself when `pattern` matches all of it; ValueError otherwise."""
-    if not pattern.fullmatch(text):
-        raise ValueError(f"{text!r} is not one word: {line!r}")
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +61,11 @@ def parse_cfg(text: str) -> CFG:
         if ARROW not in stripped:
             raise ValueError(f"grammar line without {ARROW!r}: {stripped!r}")
         lhs, rhs_text = stripped.split(ARROW, 1)
-        lhs = _word(lhs.strip(), stripped)
+        lhs = one_word(lhs.strip(), stripped)
         if lhs not in nonterminals:
             nonterminals.append(lhs)
         for alt in rhs_text.split("|"):
-            symbols = tuple(_word(sym, stripped) for sym in alt.split())
+            symbols = tuple(one_word(sym, stripped) for sym in alt.split())
             if not symbols:
                 raise ValueError(f"empty alternative, write eps: {stripped!r}")
             if ARROW in symbols:
@@ -196,17 +189,17 @@ def _parse_atom(text: str, taken: set[str]) -> Atom:
     if "(" not in text:
         if not text:
             raise ValueError("empty atom")
-        return Atom(_word(text, text, _TERM_RE))
+        return Atom(one_word(text, text, _TERM_RE))
     if not text.endswith(")"):
         raise ValueError(f"malformed atom: {text!r}")
     pred, inner = text[:-1].split("(", 1)
-    pred = _word(pred.strip(), text, _TERM_RE)
+    pred = one_word(pred.strip(), text, _TERM_RE)
     args: list[Term] = []
     for part in inner.split(","):
         part = part.strip()
         if not part:
             raise ValueError(f"empty argument in atom: {text!r}")
-        if _word(part, text, _TERM_RE) == "_":
+        if one_word(part, text, _TERM_RE) == "_":
             args.append(Var(fresh_word("_", taken), anonymous=True))
         else:
             args.append(Var(part) if part[0].isupper() or part[0] == "_" else part)

@@ -119,17 +119,14 @@ def _substitute(elements: Sequence[Element],
     return tuple(new)
 
 
-def _choices(s: Statement,
-             pool: Sequence[Statement]) -> dict[WordSeq, list[WordSeq]]:
-    """The sorted endings each ripe content class of `s` can take from
-    `pool`, in first-occurrence order; empty when some class has none."""
-    choices: dict[WordSeq, list[WordSeq]] = {}
-    for content in ripe_contents(s):
-        endings = sorted(match_endings(content, pool))
-        if not endings:
-            return {}
-        choices[content] = endings
-    return choices
+def _endings(contents: Sequence[WordSeq], pool: Iterable[Statement],
+             index: dict[WordSeq, list[WordSeq]],
+             ) -> dict[WordSeq, list[WordSeq]]:
+    """Each content's sorted endings in `pool`, read from `index` or filled."""
+    for c in contents:
+        if c not in index:
+            index[c] = sorted(match_endings(c, pool))
+    return {c: index[c] for c in contents}
 
 
 def expand_statement(s: Statement, pool: Iterable[Statement], *,
@@ -142,13 +139,14 @@ def expand_statement(s: Statement, pool: Iterable[Statement], *,
     any class has no match the statement produces nothing this round
     (all-or-nothing; it may succeed against a richer pool later).
 
-    `endings`, if given, holds each class's sorted endings in `pool`, in
-    first-occurrence order, and `pool` is not scanned.  `fresh`, if given,
+    `endings`, if given, holds each class's sorted endings in the pool, in
+    first-occurrence order, and `pool` is not read.  `fresh`, if given,
     maps each class to the endings new since `s` was last expanded: then
     only the combinations that take one of them are built, in the order
     of the full product.
     """
-    choices = _choices(s, list(pool)) if endings is None else endings
+    choices = (_endings(ripe_contents(s), list(pool), {}) if endings is None
+               else endings)
     results: list[Statement] = []
     if not choices:
         return results
@@ -171,8 +169,8 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     on within-round processing order.
 
     Rounds are semi-naive.  `index` holds each ripe content's sorted
-    endings in the pool, from one pool scan on first demand and then from
-    the statements the last round added (the round's fresh endings).  A
+    endings in the pool, from `_endings`' scan on first demand and then
+    from the statements the last round added (the round's fresh endings).  A
     statement known when the last round began skips the round if no class
     has a fresh ending, and otherwise builds only the combinations that
     take one; the others expand in full.
@@ -202,11 +200,8 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
         for i, (st, cs) in enumerate(residual):
             if i < old and not any(fresh[c] for c in cs):
                 continue
-            for c in cs:
-                if c not in index:
-                    index[c] = sorted(match_endings(c, pool))
-            for out in expand_statement(st, pool,
-                                        endings={c: index[c] for c in cs},
+            for out in expand_statement(st, (),
+                                        endings=_endings(cs, pool, index),
                                         fresh=fresh if i < old else None):
                 if out in known:
                     continue
@@ -247,6 +242,7 @@ def sample(p: Program, limits: ExpansionLimits, seed: int,
     if not bracketed:
         raise NoBracketedStatements("program has no bracketed statements")
     pool = closure(p, limits).bracket_free
+    index: dict[WordSeq, list[WordSeq]] = {}
     rng = random.Random(seed)
     results: list[Statement] = []
     for _ in range(max(count * 100, 100)):  # the attempt budget
@@ -254,8 +250,8 @@ def sample(p: Program, limits: ExpansionLimits, seed: int,
             break
         st = rng.choice(bracketed)
         for _ in range(limits.max_rounds):
-            choices = _choices(st, pool)
-            if not choices:
+            choices = _endings(ripe_contents(st), pool, index)
+            if not all(choices.values()):
                 break
             elements = _substitute(
                 st.elements, {c: rng.choice(e) for c, e in choices.items()})

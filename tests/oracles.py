@@ -3,9 +3,11 @@
 import random
 from itertools import product
 
-from bracketc import (CFG, BudgetTooSmall, ClosureResult, ExpansionLimits,
-                      FrontierPoint, HornProgram, Program, Statement, Var,
-                      expand_statement, induce_slots, neighbors)
+from bracketc import (CFG, Bracket, BudgetTooSmall, ClosureResult,
+                      ExpansionLimits, FrontierPoint, HornProgram,
+                      NoBracketedStatements, Program, Statement, Var,
+                      expand_statement, induce_slots, match_endings, neighbors,
+                      ripe_contents)
 from bracketc.compress import _rank, evaluate_program
 from bracketc.engine import TruncationFlags
 
@@ -61,6 +63,53 @@ def closure_reference(p: Program, limits: ExpansionLimits) -> ClosureResult:
         truncated=flags,
         rounds_used=rounds_used,
     )
+
+
+def ground(elements, assignment):
+    """Each ripe bracket replaced by its class's ending, written apart from
+    the engine's substitution."""
+    out = []
+    for e in elements:
+        if not isinstance(e, Bracket):
+            out.append(e)
+        elif all(isinstance(w, str) for w in e.elements):
+            out.extend(assignment[e.elements])
+        else:
+            out.append(Bracket(ground(e.elements, assignment)))
+    return tuple(out)
+
+
+def sample_reference(p, limits, seed, count):
+    """`sample` as first written, over the reference closure: every draw
+    step scans the whole pool once per content class, then draws."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    bracketed = [st for st in p if not st.bracket_free]
+    if not bracketed:
+        raise NoBracketedStatements("program has no bracketed statements")
+    pool = closure_reference(p, limits).bracket_free
+    rng = random.Random(seed)
+    results = []
+    for _ in range(max(count * 100, 100)):
+        if len(results) == count:
+            break
+        st = rng.choice(bracketed)
+        for _ in range(limits.max_rounds):
+            choices = {c: sorted(match_endings(c, pool))
+                       for c in ripe_contents(st)}
+            if not all(choices.values()):
+                break
+            elements = ground(st.elements,
+                              {c: rng.choice(e) for c, e in choices.items()})
+            if not elements:
+                break
+            st = Statement(elements)
+            if st.token_count() > limits.max_tokens_per_statement:
+                break
+            if st.bracket_free:
+                results.append(st)
+                break
+    return results
 
 
 def compress_reference(corpus, config):

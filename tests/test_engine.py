@@ -4,13 +4,14 @@ from itertools import product
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from bracketc import (Bracket, ExpansionLimits, NoBracketedStatements,
-                      Program, Statement, UnsupportedRule, cfg_to_bc, closure,
+from bracketc import (ExpansionLimits, NoBracketedStatements, Program,
+                      Statement, UnsupportedRule, cfg_to_bc, closure,
                       expand_statement, horn_to_bc, match_endings,
                       parse_program, parse_statement, ripe_contents, sample,
                       words)
 
-from oracles import closure_reference, forward_chain, random_cfg
+from oracles import (closure_reference, forward_chain, ground, random_cfg,
+                     sample_reference)
 from strategies import CLOSURE_PROGRAM, CLOSURE_STATEMENT, HORN_PROGRAM
 
 LIMITS = ExpansionLimits()
@@ -92,24 +93,17 @@ def test_expand_all_or_nothing():
     assert expand_statement(s, [words("B", "C")]) == []
 
 
+def test_expand_bracket_free_has_no_expansion():
+    # no class to fill, so no expansion, not `s` from the empty product
+    s = words("B", "C")
+    assert expand_statement(s, [s]) == []
+    assert expand_statement(s, (), endings={}) == []
+
+
 def test_expand_varying_ending_lengths():
     s = parse_statement("X [W][W]")
     pool = [words("W", "a"), words("W", "b"), words("W", "c", "c")]
     assert strs(expand_statement(s, pool)) == {"X a a", "X b b", "X c c c c"}
-
-
-def _ground(elements, assignment):
-    """Each ripe bracket replaced by its class's ending, written apart from
-    the engine's substitution."""
-    out = []
-    for e in elements:
-        if not isinstance(e, Bracket):
-            out.append(e)
-        elif all(isinstance(w, str) for w in e.elements):
-            out.extend(assignment[e.elements])
-        else:
-            out.append(Bracket(_ground(e.elements, assignment)))
-    return tuple(out)
 
 
 @settings(max_examples=300, deadline=None)
@@ -123,15 +117,16 @@ def test_expand_with_fresh_endings_drops_only_the_all_old_combinations(
              for c, e in endings.items()}
     full, with_fresh = [], []
     for combo in product(*endings.values()):
-        grounded = _ground(s.elements, dict(zip(endings, combo)))
+        grounded = ground(s.elements, dict(zip(endings, combo)))
         if grounded:
             full.append(Statement(grounded))
             if any(e in fresh[c] for c, e in zip(endings, combo)):
                 with_fresh.append(full[-1])
     assert expand_statement(s, pool) == full
-    assert expand_statement(s, pool, endings=endings) == full
-    assert expand_statement(s, pool, endings=endings,
-                            fresh=fresh) == with_fresh
+    for given_pool in (pool, ()):  # with `endings`, the pool is not read
+        assert expand_statement(s, given_pool, endings=endings) == full
+        assert expand_statement(s, given_pool, endings=endings,
+                                fresh=fresh) == with_fresh
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +380,17 @@ def test_sample_golden(sibling_horn, addition_program):
 ])
 def test_sample_drops_a_draw_that_is_empty_or_over_the_token_cap(text, limits):
     assert sample(parse_program(text), limits, 0, 3) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(CLOSURE_PROGRAM.filter(lambda p: any(not s.bracket_free for s in p)),
+       st.integers(1, 8), st.integers(1, 30), st.integers(1, 8),
+       st.integers(0, 2**32), st.integers(0, 6))
+def test_sample_matches_reference_random(program, rounds, statements, tokens,
+                                         seed, count):
+    limits = ExpansionLimits(rounds, statements, tokens)
+    assert sample(program, limits, seed, count) == sample_reference(
+        program, limits, seed, count)
 
 
 def test_sample_draws_nothing_for_an_ungroundable_statement():

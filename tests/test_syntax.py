@@ -44,6 +44,22 @@ def test_empty_statement_raises():
         words()
 
 
+@pytest.mark.parametrize("text", ["a b", "a\tb", "", "[a]", "a]", "["])
+def test_words_rejects_a_text_that_is_not_one_word(text):
+    with pytest.raises(ValueError, match="is not one word"):
+        words("x", text)
+
+
+@given(st.lists(st.text(alphabet="ab[] ", max_size=3), min_size=1,
+                max_size=3))
+def test_words_builds_only_statements_that_round_trip(texts):
+    try:
+        s = words(*texts)
+    except ValueError:
+        return
+    assert parse_statement(serialize_statement(s)) == s
+
+
 def test_serialize_round_trip():
     s = Statement((Bracket(("GIRL",)), "LIKES", "PONIES"))
     assert serialize_statement(s) == "[GIRL] LIKES PONIES"
