@@ -22,50 +22,43 @@ from .syntax import Program, Statement, load_program, program_size
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-rounds", type=int, default=ExpansionLimits.max_rounds)
-    parser.add_argument("--max-statements", type=int,
-                        default=ExpansionLimits.max_statements)
-    parser.add_argument("--max-tokens", type=int,
-                        default=ExpansionLimits.max_tokens_per_statement)
-
-
-def _limits(args: argparse.Namespace) -> ExpansionLimits:
-    return ExpansionLimits(max_rounds=args.max_rounds,
-                           max_statements=args.max_statements,
-                           max_tokens_per_statement=args.max_tokens)
+    parser.add_argument("--max-rounds", type=int)
+    parser.add_argument("--max-statements", type=int)
+    parser.add_argument("--max-tokens", type=int, dest="max_tokens_per_statement",
+                        metavar="MAX_TOKENS")
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fold-case", action="store_true",
                         help="uppercase the corpus while loading")
-    parser.add_argument("--keep-punctuation", action="store_true",
+    parser.add_argument("--keep-punctuation", action="store_false",
+                        dest="split_punctuation",
                         help="do not split punctuation into separate tokens")
-    parser.add_argument("--sentences", action="store_true",
+    parser.add_argument("--sentences", action="store_false",
+                        dest="one_statement_per_line",
                         help="split on sentence boundaries instead of lines")
 
 
 def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda", type=float, default=SearchConfig.lambda_accuracy)
-    parser.add_argument("--seed", type=int, default=SearchConfig.seed)
-    parser.add_argument("--beam", type=int, default=SearchConfig.beam_width)
-    parser.add_argument("--iterations", type=int, default=SearchConfig.max_iterations)
+    parser.add_argument("--lambda", type=float, dest="lambda_accuracy",
+                        metavar="LAMBDA")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--beam", type=int, dest="beam_width", metavar="BEAM")
+    parser.add_argument("--iterations", type=int, dest="max_iterations",
+                        metavar="ITERATIONS")
     _add_limit_flags(parser)
     _add_corpus_flags(parser)
 
 
-def _search_config(args: argparse.Namespace, budget: int) -> SearchConfig:
-    return SearchConfig(budget_chars=budget,
-                        lambda_accuracy=getattr(args, "lambda"),
-                        seed=args.seed,
-                        max_iterations=args.iterations,
-                        beam_width=args.beam,
-                        limits=_limits(args))
+def _options(cls, args: argparse.Namespace, **given):
+    """cls from `given` and each flag of args that names a field and is set."""
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return cls(**{name: v for name, v in flags.items() if v is not None}, **given)
 
 
-def _tokenizer(args: argparse.Namespace) -> TokenizerOptions:
-    return TokenizerOptions(split_punctuation=not args.keep_punctuation,
-                            fold_case=args.fold_case,
-                            one_statement_per_line=not args.sentences)
+def _search_config(args: argparse.Namespace, **given) -> SearchConfig:
+    return _options(SearchConfig, args, limits=_options(ExpansionLimits, args),
+                    **given)
 
 
 def _truncation_header(result, limits: ExpansionLimits) -> list[str]:
@@ -104,7 +97,7 @@ def _program_first(statements: Sequence[Statement],
 
 def _cmd_expand(args: argparse.Namespace) -> None:
     program = load_program(args.program)
-    limits = _limits(args)
+    limits = _options(ExpansionLimits, args)
     result = closure(program, limits)
     lines = _truncation_header(result, limits)
     lines += _program_first(result.bracket_free, program)
@@ -116,7 +109,8 @@ def _cmd_expand(args: argparse.Namespace) -> None:
 
 def _cmd_sample(args: argparse.Namespace) -> None:
     program = load_program(args.program)
-    statements = sample(program, _limits(args), args.seed, args.count)
+    statements = sample(program, _options(ExpansionLimits, args), args.seed,
+                        args.count)
     print(f"# seed {args.seed}")
     for s in statements:
         print(s)
@@ -124,8 +118,8 @@ def _cmd_sample(args: argparse.Namespace) -> None:
 
 def _cmd_metrics(args: argparse.Namespace) -> None:
     program = load_program(args.program)
-    corpus = load_corpus(args.corpus, _tokenizer(args))
-    limits = _limits(args)
+    corpus = load_corpus(args.corpus, _options(TokenizerOptions, args))
+    limits = _options(ExpansionLimits, args)
     result = closure(program, limits)
     report = evaluate(result.bracket_free, corpus, program_size(program),
                       result.truncated.any)
@@ -145,19 +139,19 @@ def _cmd_encode(args: argparse.Namespace) -> None:
 
 
 def _cmd_compress(args: argparse.Namespace) -> None:
-    corpus = load_corpus(args.corpus, _tokenizer(args))
-    cand = compress(corpus, _search_config(args, args.budget))
+    corpus = load_corpus(args.corpus, _options(TokenizerOptions, args))
+    config = _search_config(args)
+    cand = compress(corpus, config)
     _write(args.output, str(cand.program))
-    print(f"# seed {args.seed}", file=sys.stderr)
+    print(f"# seed {config.seed}", file=sys.stderr)
     print(cand.report.as_kv(), file=sys.stderr)
 
 
 def _cmd_frontier(args: argparse.Namespace) -> None:
-    corpus = load_corpus(args.corpus, _tokenizer(args))
+    corpus = load_corpus(args.corpus, _options(TokenizerOptions, args))
     budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
-    # frontier_sweep rejects an empty list and sets each run's budget
-    points = frontier_sweep(corpus, budgets,
-                            _search_config(args, max(budgets, default=1)))
+    # frontier_sweep checks the budgets and sets each run's budget_chars
+    points = frontier_sweep(corpus, budgets, _search_config(args, budget_chars=1))
     skipped = len(budgets) - sum(p.method_label == "compress" for p in points)
     if skipped:
         print(f"# {skipped} budget(s) skipped: too small for any program",
@@ -209,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compress", help="search for a size-bounded program")
     p.add_argument("corpus")
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=int, required=True, dest="budget_chars",
+                   metavar="BUDGET")
     p.add_argument("-o", "--output", default=None)
     _add_search_flags(p)
     p.set_defaults(func=_cmd_compress)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .engine import ExpansionLimits, closure, ripe_contents
+from .engine import ExpansionLimits, check_count, closure, ripe_contents
 from .errors import BudgetTooSmall, EmptyCorpus
 from .metrics import FrontierPoint, MetricsReport, evaluate
 from .syntax import (WORD_RE, Bracket, Element, Program, Statement, alias,
@@ -36,12 +36,9 @@ class SearchConfig:
     limits: ExpansionLimits = field(default_factory=ExpansionLimits)
 
     def __post_init__(self) -> None:
-        if self.budget_chars < 1:
-            raise ValueError("budget_chars must be >= 1")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
+        check_count("budget_chars", self.budget_chars, 1)
+        check_count("max_iterations", self.max_iterations, 0)
+        check_count("beam_width", self.beam_width, 1)
         if not 0 <= self.lambda_accuracy < float("inf"):
             raise ValueError("lambda_accuracy must be finite and >= 0")
 

@@ -26,6 +26,14 @@ from .syntax import Bracket, Element, Program, Statement
 WordSeq = tuple[str, ...]
 
 
+def check_count(name: str, value: object, least: int) -> None:
+    """Raise ValueError unless value is an int, not a bool, and >= least."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class ExpansionLimits:
     """Hard caps for closure computation; all mandatory because programs
@@ -37,8 +45,7 @@ class ExpansionLimits:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be >= 1")
+            check_count(f.name, getattr(self, f.name), 1)
 
 
 @dataclass
@@ -236,8 +243,7 @@ def sample(p: Program, limits: ExpansionLimits, seed: int,
     Draws that fail to ground within `max_rounds` steps are skipped; the
     attempt budget caps the total work so degenerate programs terminate.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    check_count("count", count, 0)
     bracketed = [st for st in p if not st.bracket_free]
     if not bracketed:
         raise NoBracketedStatements("program has no bracketed statements")

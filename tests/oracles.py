@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 from bracketc import (CFG, Bracket, BudgetTooSmall, ClosureResult,
-                      ExpansionLimits, FrontierPoint, HornProgram,
+                      EmptyCorpus, ExpansionLimits, FrontierPoint, HornProgram,
                       NoBracketedStatements, Program, Statement, Var,
                       expand_statement, induce_slots, match_endings, neighbors,
                       ripe_contents)
@@ -118,7 +118,7 @@ def compress_reference(corpus, config):
     and counts the greedy prefix's size statement by statement."""
     corpus = list(dict.fromkeys(corpus))
     if not corpus:
-        raise BudgetTooSmall("corpus is empty")
+        raise EmptyCorpus("corpus is empty")
     if config.budget_chars < min(len(str(s)) for s in corpus):
         raise BudgetTooSmall(
             f"budget {config.budget_chars} fits no single corpus statement")

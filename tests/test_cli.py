@@ -1,6 +1,6 @@
 import pytest
 
-from bracketc import cli, parse_program
+from bracketc import SearchConfig, cli, compress, load_corpus, parse_program
 from bracketc.cli import main
 
 GIRLS = "GIRL LINDA\nGIRL MARY\n[GIRL] LIKES PONIES\n"
@@ -156,6 +156,50 @@ def test_encode_usage_names_its_source(command, source, capsys):
     err = capsys.readouterr().err
     assert f"usage: bracketc {command} [-h] [-o OUTPUT] {source}" in err
     assert f"the following arguments are required: {source}" in err
+
+
+USAGE = {
+    "check": "[-h] program",
+    "expand": "[-h] [--residual] [--max-rounds MAX_ROUNDS] "
+              "[--max-statements MAX_STATEMENTS] [--max-tokens MAX_TOKENS] "
+              "program",
+    "sample": "[-h] [--seed SEED] --count COUNT [--max-rounds MAX_ROUNDS] "
+              "[--max-statements MAX_STATEMENTS] [--max-tokens MAX_TOKENS] "
+              "program",
+    "metrics": "[-h] [--csv] [--max-rounds MAX_ROUNDS] "
+               "[--max-statements MAX_STATEMENTS] [--max-tokens MAX_TOKENS] "
+               "[--fold-case] [--keep-punctuation] [--sentences] "
+               "program corpus",
+    "encode-cfg": "[-h] [-o OUTPUT] grammar",
+    "encode-horn": "[-h] [-o OUTPUT] rules",
+    "compress": "[-h] --budget BUDGET [-o OUTPUT] [--lambda LAMBDA] "
+                "[--seed SEED] [--beam BEAM] [--iterations ITERATIONS] "
+                "[--max-rounds MAX_ROUNDS] [--max-statements MAX_STATEMENTS] "
+                "[--max-tokens MAX_TOKENS] [--fold-case] [--keep-punctuation] "
+                "[--sentences] corpus",
+    "frontier": "[-h] --budgets BUDGETS --csv CSV [--lambda LAMBDA] "
+                "[--seed SEED] [--beam BEAM] [--iterations ITERATIONS] "
+                "[--max-rounds MAX_ROUNDS] [--max-statements MAX_STATEMENTS] "
+                "[--max-tokens MAX_TOKENS] [--fold-case] [--keep-punctuation] "
+                "[--sentences] corpus",
+}
+
+
+@pytest.mark.parametrize("command", sorted(USAGE))
+def test_usage_names_each_flag_and_metavar(command, capsys):
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert " ".join(usage.split()) == f"usage: bracketc {command} {USAGE[command]}"
+
+
+def test_compress_passes_zero_flags_through(files, capsys):
+    # 0 is falsy: a flag set to 0 must still override the field's default
+    _, _, corpus = files
+    assert main(["compress", corpus, "--budget", "80", "--iterations", "0",
+                 "--lambda", "0", "--seed", "0", "-o", "-"]) == 0
+    want = compress(load_corpus(corpus),
+                    SearchConfig(80, lambda_accuracy=0, seed=0, max_iterations=0))
+    assert capsys.readouterr().out == f"{want.program}\n"
 
 
 def test_compress_and_output(files, capsys):

@@ -276,6 +276,12 @@ def test_compress_matches_reference(corpus, budget, lam, seed):
     assert got.objective == want.objective
 
 
+def test_compress_and_reference_reject_an_empty_corpus():
+    for search in (compress, compress_reference):
+        with pytest.raises(EmptyCorpus):
+            search([], config(10))
+
+
 # ---------------------------------------------------------------------------
 # frontier
 
@@ -310,15 +316,17 @@ def test_frontier_sweep_rejects_a_budget_below_one(templated_corpus):
 
 
 def test_search_config_rejects_negative_iterations():
-    with pytest.raises(ValueError):
-        SearchConfig(budget_chars=10, max_iterations=-1)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SearchConfig(budget_chars=10, max_iterations=bad)
 
 
 @pytest.mark.parametrize("field", ["budget_chars", "beam_width"])
 def test_search_config_rejects_zero(field):
-    kw = {"budget_chars": 10, field: 0}
-    with pytest.raises(ValueError, match=field):
-        SearchConfig(**kw)
+    for bad in (0, 2.5, True):
+        kw = {"budget_chars": 10, field: bad}
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**kw)
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
@@ -330,5 +338,8 @@ def test_search_config_rejects_non_finite_lambda(lam):
 def test_frontier_cli_reports_empty_budgets(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("GIRL MARY\n", encoding="utf-8")
-    assert main(["frontier", str(corpus), "--budgets", "", "--csv", "-"]) == 1
-    assert "budgets must be non-empty and positive" in capsys.readouterr().err
+    for budgets in ("", "0", "0,-3"):
+        assert main(["frontier", str(corpus), "--budgets", budgets,
+                     "--csv", "-"]) == 1
+        assert "budgets must be non-empty and positive" in \
+            capsys.readouterr().err

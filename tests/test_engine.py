@@ -326,8 +326,9 @@ def test_closure_truncated_any_when_one_cap_trips(addition_program, limits,
 @pytest.mark.parametrize("field", ["max_rounds", "max_statements",
                                    "max_tokens_per_statement"])
 def test_expansion_limits_reject_zero(field):
-    with pytest.raises(ValueError, match=field):
-        ExpansionLimits(**{field: 0})
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match=field):
+            ExpansionLimits(**{field: bad})
 
 
 def test_sample_deterministic(girls_ponies):
@@ -352,8 +353,9 @@ def test_sample_needs_brackets():
 
 
 def test_sample_rejects_negative_count(girls_ponies):
-    with pytest.raises(ValueError):
-        sample(girls_ponies, LIMITS, seed=0, count=-3)
+    for bad in (-3, 2.5, True):
+        with pytest.raises(ValueError, match="count"):
+            sample(girls_ponies, LIMITS, seed=0, count=bad)
 
 
 def test_sample_golden(sibling_horn, addition_program):
