@@ -98,17 +98,16 @@ def ripe_contents(s: Statement) -> list[WordSeq]:
 
 
 def match_endings(content: WordSeq, pool: Iterable[Statement]) -> set[WordSeq]:
-    """Endings of pool statements that start with `content`.
+    """Endings of bracket-free pool statements that start with `content`.
 
-    Empty content matches every full pool statement; a pool statement equal
-    to the content yields the empty ending (bracket removal).
+    Bracketed ones are skipped.  Empty content matches every bracket-free
+    statement; one equal to the content yields the empty ending (removal).
     """
     endings: set[WordSeq] = set()
     n = len(content)
     for st in pool:
-        ws = st.words
-        if ws[:n] == content:
-            endings.add(ws[n:])
+        if st.bracket_free and st.elements[:n] == content:
+            endings.add(st.elements[n:])  # type: ignore[arg-type]
     return endings
 
 
@@ -170,10 +169,11 @@ def expand_statement(s: Statement, pool: Iterable[Statement], *,
 def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     """Iterate expansion rounds to a fixpoint or a limit.
 
-    `known` holds every retained statement once, program order then
-    derivation order.  Each round matches every bracketed statement against
-    the bracket-free pool as of round start, so the result does not depend
-    on within-round processing order.
+    The program is split once into `pool` (bracket-free) and `residual`
+    (bracketed, with their ripe contents); each round appends what it keeps,
+    so the lists are the result, and `known` is their membership set.  Each
+    round matches every bracketed statement against the pool as of round
+    start, so the result does not depend on within-round processing order.
 
     Rounds are semi-naive.  `index` holds each ripe content's sorted
     endings in the pool, from `_endings`' scan on first demand and then
@@ -182,57 +182,49 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     has a fresh ending, and otherwise builds only the combinations that
     take one; the others expand in full.
     """
-    known = dict.fromkeys(p)
-    new = list(known)  # retained by the last round; at first, the program
-    pool: list[Statement] = []
-    residual: list[tuple[Statement, list[WordSeq]]] = []  # ripe_contents
+    known = set(p)
+    pool = [st for st in p if st.bracket_free]
+    residual = [(st, ripe_contents(st)) for st in p if not st.bracket_free]
+    added: list[Statement] = []  # bracket-free, kept by the last round
+    old = 0  # residual statements expanded in the last round
     index: dict[WordSeq, list[WordSeq]] = {}
     flags = TruncationFlags()
     rounds_used = 0
-    while not flags.rounds:
-        added = [st for st in new if st.bracket_free]
-        pool += added
-        old = len(residual)  # expanded in the last round
-        residual += [(st, ripe_contents(st)) for st in new
-                     if not st.bracket_free]
-        if not residual:
-            break
+    while residual and not flags.rounds:
         # An ending names its pool statement, so no ending of `added` is
         # in the index yet.
         fresh = {c: match_endings(c, added) for c in index}
         for c, got in fresh.items():
             if got:
                 index[c] = sorted([*index[c], *got])
+        expansions = (out for i, (st, cs) in enumerate(residual)
+                      if i >= old or any(fresh[c] for c in cs)
+                      for out in expand_statement(
+                          st, (), endings=_endings(cs, pool, index),
+                          fresh=fresh if i < old else None))
         new = []
-        for i, (st, cs) in enumerate(residual):
-            if i < old and not any(fresh[c] for c in cs):
+        for out in expansions:
+            if out in known:
                 continue
-            for out in expand_statement(st, (),
-                                        endings=_endings(cs, pool, index),
-                                        fresh=fresh if i < old else None):
-                if out in known:
-                    continue
-                if out.token_count() > limits.max_tokens_per_statement:
-                    flags.tokens = True
-                    continue
-                if len(known) >= limits.max_statements:
-                    flags.statements = True
-                    break
-                known[out] = None
-                new.append(out)
-            if flags.statements:
+            if out.token_count() > limits.max_tokens_per_statement:
+                flags.tokens = True
+                continue
+            if len(known) >= limits.max_statements:
+                flags.statements = True
                 break
+            known.add(out)
+            new.append(out)
         rounds_used += 1
+        added = [st for st in new if st.bracket_free]
+        pool += added
+        old = len(residual)
+        residual += [(st, ripe_contents(st)) for st in new
+                     if not st.bracket_free]
         if flags.statements or not new:
             break
         flags.rounds = rounds_used == limits.max_rounds
-
-    return ClosureResult(
-        bracket_free=tuple(st for st in known if st.bracket_free),
-        residual=tuple(st for st in known if not st.bracket_free),
-        truncated=flags,
-        rounds_used=rounds_used,
-    )
+    return ClosureResult(tuple(pool), tuple(st for st, _ in residual), flags,
+                         rounds_used)
 
 
 def sample(p: Program, limits: ExpansionLimits, seed: int,

@@ -8,7 +8,7 @@ from bracketc import (ExpansionLimits, NoBracketedStatements, Program,
                       Statement, UnsupportedRule, cfg_to_bc, closure,
                       expand_statement, horn_to_bc, match_endings,
                       parse_program, parse_statement, ripe_contents, sample,
-                      words)
+                      serialize_statement, words)
 
 from oracles import (closure_reference, forward_chain, ground, random_cfg,
                      sample_reference)
@@ -62,6 +62,15 @@ def test_match_endings_removal():
 
 def test_match_endings_empty_content():
     assert match_endings((), [words("B")]) == {("B",)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(CLOSURE_STATEMENT, CLOSURE_PROGRAM)
+def test_a_mixed_pool_matches_like_its_bracket_free_part(s, program):
+    free = [t for t in program if t.bracket_free]
+    for c in (*ripe_contents(s), ()):
+        assert match_endings(c, program) == match_endings(c, free)
+    assert expand_statement(s, program) == expand_statement(s, free)
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +409,19 @@ def test_sample_draws_nothing_for_an_ungroundable_statement():
     program = parse_program("A a1\nA a2\nA a3\nA a4\nX [A]\nY [A] [NOPE]")
     assert [str(s) for s in sample(program, LIMITS, 0, 4)] == [
         "X a3", "X a2", "X a1", "X a3"]
+
+
+# ---------------------------------------------------------------------------
+# round trip
+
+
+@settings(max_examples=200, deadline=None)
+@given(CLOSURE_PROGRAM, st.integers(1, 8), st.integers(1, 30),
+       st.integers(1, 8), st.integers(0, 2**32))
+def test_closure_and_sample_statements_round_trip(program, rounds, statements,
+                                                  tokens, seed):
+    limits = ExpansionLimits(rounds, statements, tokens)
+    r = closure(program, limits)
+    drawn = sample(program, limits, seed, 4) if r.residual else []
+    for s in (*r.bracket_free, *r.residual, *drawn):
+        assert parse_statement(serialize_statement(s)) == s
