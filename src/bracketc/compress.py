@@ -141,14 +141,13 @@ def _rename(elements: Sequence[Element], old: str, new: str) -> tuple[Element, .
     return tuple(out)
 
 
-def neighbors(cand: Candidate, corpus: Sequence[Statement],
+def neighbors(program: Program, corpus: Sequence[Statement],
               config: SearchConfig, rng: random.Random) -> list[Program]:
-    """All bounded mutations of a candidate program, deterministic order."""
-    prog = cand.program
-    stmts = list(prog)
-    cats = _categories(prog)
+    """All bounded mutations of a program, deterministic order."""
+    stmts = list(program)
+    cats = _categories(program)
     # every word of the corpus and of the program, inside brackets too
-    taken = set(WORD_RE.findall(str(prog)))
+    taken = set(WORD_RE.findall(str(program)))
     taken.update(w for s in corpus for w in s.words)
     alias_word = fresh_word("CAT", taken)
     results: dict[Program, None] = {}
@@ -166,7 +165,7 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
             emit(stmts[:i] + stmts[i + 1:])
 
     # (c) add one uncovered corpus sentence verbatim
-    covered = closure(prog, config.limits).bracket_free_set
+    covered = set(closure(program, config.limits).bracket_free)
     for sent in corpus:
         if sent not in covered:
             emit(stmts + [sent])
@@ -186,7 +185,7 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
             if middle is None:
                 continue
             variant = Statement((cat, *middle))
-            if variant not in prog:
+            if variant not in program:
                 emit(stmts + [variant])
 
     # (e) factor a constant token into an existing category slot; the alias
@@ -198,7 +197,7 @@ def neighbors(cand: Candidate, corpus: Sequence[Statement],
             if not isinstance(e, str):
                 continue
             for cat in cats:
-                if Statement((cat, e)) not in prog:
+                if Statement((cat, e)) not in program:
                     continue
                 bracket = Bracket((cat,))
                 extra: list[Statement] = []
@@ -273,7 +272,7 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
     for _ in range(config.max_iterations):
         # the new beam keeps the old one's best, so beam[0] is the best yet
         produced = (score(prog) for cand in beam
-                    for prog in neighbors(cand, corpus, config, rng)
+                    for prog in neighbors(cand.program, corpus, config, rng)
                     if prog not in seen)
         new_beam = heapq.nsmallest(config.beam_width, chain(beam, produced),
                                    key=_rank)

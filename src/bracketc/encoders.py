@@ -41,6 +41,8 @@ class CFG:
     productions: tuple[tuple[str, tuple[str, ...]], ...]
 
     def __post_init__(self) -> None:
+        for sym in sorted(self.nonterminals | self.terminals):
+            one_word(sym, "a grammar symbol")
         if self.start not in self.nonterminals:
             raise ValueError(f"start symbol {self.start!r} is not a nonterminal")
         if self.nonterminals & self.terminals:
@@ -162,6 +164,11 @@ Term = Union[str, Var]
 class Atom:
     pred: str
     args: tuple[Term, ...] = ()
+
+    def __post_init__(self) -> None:
+        for term in (self.pred, *self.args):
+            if isinstance(term, str):
+                one_word(term, f"an atom of {self.pred}", _TERM_RE)
 
     def variables(self) -> list[Var]:
         return [a for a in self.args if isinstance(a, Var)]

@@ -16,7 +16,7 @@ take a fresh ending.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -69,12 +69,8 @@ class ClosureResult:
 
     bracket_free: tuple[Statement, ...]
     residual: tuple[Statement, ...]
-    truncated: TruncationFlags = field(default_factory=TruncationFlags)
-    rounds_used: int = 0
-
-    @property
-    def bracket_free_set(self) -> frozenset[Statement]:
-        return frozenset(self.bracket_free)
+    truncated: TruncationFlags
+    rounds_used: int
 
 
 def ripe_contents(s: Statement) -> list[WordSeq]:

@@ -146,7 +146,7 @@ def compress_reference(corpus, config):
     rng = random.Random(config.seed)
     for _ in range(config.max_iterations):
         produced = [score(prog) for cand in beam
-                    for prog in neighbors(cand, corpus, config, rng)
+                    for prog in neighbors(cand.program, corpus, config, rng)
                     if prog not in seen]
         if not produced:
             break

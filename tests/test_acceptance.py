@@ -145,7 +145,7 @@ def _exhaustive_best(corpus, config):
     for _ in range(config.max_iterations):
         fresh = []
         for cand in frontier:
-            for prog in neighbors(cand, corpus, config, rng):
+            for prog in neighbors(cand.program, corpus, config, rng):
                 if str(prog) not in seen:
                     fresh.append(score(prog))
         if not fresh:
@@ -192,11 +192,11 @@ def test_c10_determinism_and_invariants(girls_ponies, same_content_program,
     rng = random.Random(99)
     for program in (girls_ponies, same_content_program, guard_program,
                     not_program, empty_bracket_program):
-        want = closure(program, LIMITS).bracket_free_set
+        want = frozenset(closure(program, LIMITS).bracket_free)
         for _ in range(20):
             shuffled = list(program)
             rng.shuffle(shuffled)
-            assert closure(Program(shuffled), LIMITS).bracket_free_set == want
+            assert frozenset(closure(Program(shuffled), LIMITS).bracket_free) == want
 
     # monotonicity under limit enlargement
     small = ExpansionLimits(max_rounds=6, max_statements=100_000,
@@ -207,8 +207,8 @@ def test_c10_determinism_and_invariants(girls_ponies, same_content_program,
         ExpansionLimits(max_rounds=6, max_statements=100_000,
                         max_tokens_per_statement=7),
     ):
-        assert closure(addition_program, small).bracket_free_set <= \
-            closure(addition_program, bigger).bracket_free_set
+        assert frozenset(closure(addition_program, small).bracket_free) <= \
+            frozenset(closure(addition_program, bigger).bracket_free)
 
     # sample reproducibility per seed
     program = horn_to_bc(sibling_horn)

@@ -53,7 +53,7 @@ def test_induce_slots_no_shared_structure():
 
 def test_induce_slots_closure_covers_corpus(templated_corpus):
     program = induce_slots(templated_corpus)
-    covered = closure(program, ExpansionLimits()).bracket_free_set
+    covered = frozenset(closure(program, ExpansionLimits()).bracket_free)
     assert set(templated_corpus) <= covered
 
 
@@ -73,27 +73,24 @@ def test_induce_slots_category_avoids_vocab():
 
 def test_neighbors_deterministic(templated_corpus):
     cfg = config(200)
-    cand = evaluate_program(induce_slots(templated_corpus),
-                            templated_corpus, cfg)
-    a = neighbors(cand, templated_corpus, cfg, random.Random(3))
-    b = neighbors(cand, templated_corpus, cfg, random.Random(3))
+    program = induce_slots(templated_corpus)
+    a = neighbors(program, templated_corpus, cfg, random.Random(3))
+    b = neighbors(program, templated_corpus, cfg, random.Random(3))
     assert [str(p) for p in a] == [str(p) for p in b]
 
 
 def test_neighbors_delete_shrinks(templated_corpus):
     cfg = config(300)
-    cand = evaluate_program(induce_slots(templated_corpus),
-                            templated_corpus, cfg)
-    base_cover = closure(cand.program, cfg.limits).bracket_free_set
-    base_size = program_size(cand.program)
-    stmts = list(cand.program)
-    deletions = [p for p in neighbors(cand, templated_corpus, cfg,
+    program = induce_slots(templated_corpus)
+    base_cover = frozenset(closure(program, cfg.limits).bracket_free)
+    base_size = program_size(program)
+    deletions = [p for p in neighbors(program, templated_corpus, cfg,
                                       random.Random(0))
-                 if len(p) == len(stmts) - 1 and all(s in cand.program for s in p)]
+                 if len(p) == len(program) - 1 and all(s in program for s in p)]
     assert deletions
     for p in deletions:
         assert program_size(p) < base_size
-        assert closure(p, cfg.limits).bracket_free_set <= base_cover
+        assert frozenset(closure(p, cfg.limits).bracket_free) <= base_cover
 
 
 def test_neighbors_add_verbatim_raises_completeness(templated_corpus):
@@ -101,7 +98,7 @@ def test_neighbors_add_verbatim_raises_completeness(templated_corpus):
     half = Program(templated_corpus[:6])
     cand = evaluate_program(half, templated_corpus, cfg)
     n = len(templated_corpus)
-    adds = [p for p in neighbors(cand, templated_corpus, cfg, random.Random(0))
+    adds = [p for p in neighbors(half, templated_corpus, cfg, random.Random(0))
             if len(p) == len(half) + 1 and all(s in p for s in half)]
     assert adds
     for p in adds:
@@ -117,11 +114,10 @@ def test_neighbors_merge_cross_product():
                        ("CAT0 SALLY", "CAT0 ERICA", "F [CAT0] X",
                         "CAT1 JAMES", "CAT1 BELLA", "G [CAT1] Y")])
     cfg = config(300)
-    cand = evaluate_program(program, corpus, cfg)
-    merged = [p for p in neighbors(cand, corpus, cfg, random.Random(0))
+    merged = [p for p in neighbors(program, corpus, cfg, random.Random(0))
               if "CAT1" not in str(p)]
     assert merged
-    cover = closure(merged[0], cfg.limits).bracket_free_set
+    cover = frozenset(closure(merged[0], cfg.limits).bracket_free)
     for name in ("SALLY", "ERICA", "JAMES", "BELLA"):
         assert parse_statement(f"F {name} X") in cover
         assert parse_statement(f"G {name} Y") in cover
@@ -133,8 +129,7 @@ def test_neighbors_alias_avoids_words_inside_brackets():
     corpus = [words(*t) for t in product("ab", repeat=3)]
     program = parse_program("CAT0 a\nCAT0 b\n[CAT0] [CAT1] a\nCAT1 [CAT0]")
     cfg = config(100)
-    cand = evaluate_program(program, corpus, cfg)
-    out = {str(p) for p in neighbors(cand, corpus, cfg, random.Random(0))}
+    out = {str(p) for p in neighbors(program, corpus, cfg, random.Random(0))}
     assert "CAT0 a\nCAT0 b\n[CAT0] [CAT1] [CAT1]\nCAT1 [CAT0]" not in out
     fresh = "CAT0 a\nCAT0 b\n[CAT0] [CAT1] [CAT2]\nCAT1 [CAT0]\nCAT2 [CAT0]"
     assert fresh in out
@@ -147,15 +142,15 @@ def test_neighbors_cap_samples_a_sorted_subset(monkeypatch):
     # neighbours, over the cap of 300
     corpus = [words(f"W{i}", "X") for i in range(320)]
     cfg = config(10_000)
-    cand = evaluate_program(Program(corpus), corpus, cfg)
-    capped = neighbors(cand, corpus, cfg, random.Random(4))
+    program = Program(corpus)
+    capped = neighbors(program, corpus, cfg, random.Random(4))
     assert len(capped) == 300
     assert [str(p) for p in capped] == sorted(str(p) for p in capped)
-    assert capped == neighbors(cand, corpus, cfg, random.Random(4))
-    assert capped != neighbors(cand, corpus, cfg, random.Random(5))
+    assert capped == neighbors(program, corpus, cfg, random.Random(4))
+    assert capped != neighbors(program, corpus, cfg, random.Random(5))
     module = importlib.import_module("bracketc.compress")
     monkeypatch.setattr(module, "_MAX_NEIGHBORS", 1_000)
-    every = neighbors(cand, corpus, cfg, random.Random(4))
+    every = neighbors(program, corpus, cfg, random.Random(4))
     assert len(every) == 320
     assert set(capped) < set(every)
 
@@ -167,8 +162,7 @@ def test_neighbors_widen_only_a_category_slot():
               ("F a X", "F b X", "G c Y X", "H c X")]
     program = parse_program("N a\nF [N] X\nG [N Y] X\nH [Z] X")
     cfg = config(300)
-    cand = evaluate_program(program, corpus, cfg)
-    out = neighbors(cand, corpus, cfg, random.Random(0))
+    out = neighbors(program, corpus, cfg, random.Random(0))
     assert any(words("N", "b") in p for p in out)
     assert not any(words("N", "c") in p or words("Z", "c") in p for p in out)
 
@@ -179,8 +173,7 @@ def test_induced_and_neighbour_programs_round_trip(corpus):
     program = induce_slots(corpus)
     assert parse_program(str(program)) == program
     cfg = config(40)
-    cand = evaluate_program(program, corpus, cfg)
-    for p in neighbors(cand, corpus, cfg, random.Random(0)):
+    for p in neighbors(program, corpus, cfg, random.Random(0)):
         assert parse_program(str(p)) == p
 
 
@@ -274,6 +267,37 @@ def test_compress_matches_reference(corpus, budget, lam, seed):
     assert got.program == want.program
     assert got.report == want.report
     assert got.objective == want.objective
+
+
+def test_compress_samples_capped_neighbours_as_the_reference_does(monkeypatch):
+    # the verbatim program of 310 sentences has 310 deletions, its only
+    # neighbours, over the cap: its one iteration scores the 300 at the
+    # indices a fresh Random(seed) samples from their sorted list
+    corpus = [words(f"W{i}", "X") for i in range(310)]
+    program = Program(corpus)
+    deletions = sorted((Program(corpus[:i] + corpus[i + 1:])
+                        for i in range(310)), key=str)
+    scored = []
+
+    def recording(p, *args):
+        scored.append(p)
+        return evaluate_program(p, *args)
+
+    module = importlib.import_module("bracketc.compress")
+    monkeypatch.setattr(module, "evaluate_program", recording)
+    samples = []
+    for seed in (0, 1):
+        cfg = config(program_size(program), seed=seed, max_iterations=1)
+        scored.clear()
+        got = compress(corpus, cfg)
+        samples.append(set(scored))
+        want = compress_reference(corpus, cfg)
+        assert got.program == want.program
+        assert got.report == want.report
+        assert got.objective == want.objective
+        drawn = random.Random(seed).sample(range(310), 300)
+        assert samples[-1] == {program, *(deletions[i] for i in drawn)}
+    assert samples[0] != samples[1]
 
 
 def test_compress_and_reference_reject_an_empty_corpus():

@@ -98,6 +98,12 @@ def test_parse_cfg_rejects_malformed_text(text, message):
     ({"S"}, {"S"}, "S", (), "overlap"),
     ({"S"}, {"a"}, "S", (("T", ("a",)),), "undeclared nonterminal"),
     ({"S"}, {"a"}, "S", (("S", ("b",)),), "undeclared symbol"),
+    # each symbol must be one word, or cfg_to_bc builds a statement that
+    # parses back with other elements
+    ({"S"}, {"a b"}, "S", (("S", ("a b",)),), "'a b' is not one word"),
+    ({"S T"}, {"a"}, "S T", (("S T", ("a",)),), "'S T' is not one word"),
+    ({"S"}, {"[a]"}, "S", (("S", ("[a]",)),), "not one word"),
+    ({"S"}, {""}, "S", (("S", ("",)),), "not one word"),
 ])
 def test_cfg_rejects_inconsistent_fields(nts, terminals, start, productions,
                                          message):
@@ -388,6 +394,15 @@ def test_parse_horn_rejects_fact_with_variable():
 def test_parse_horn_rejects_term_that_is_not_one_word(text):
     with pytest.raises(ValueError):
         parse_horn(text)
+
+
+@pytest.mark.parametrize("pred, args", [
+    ("p", ("a[b",)), ("p", ("a b",)), ("p", ("a,b", Var("X"))),
+    ("p", ("a(b)",)), ("p", ("",)), ("p q", ()), ("p(", ("a",)), ("", ())])
+def test_atom_rejects_term_that_is_not_a_horn_term(pred, args):
+    # horn_to_bc would build a statement that does not parse back as itself
+    with pytest.raises(ValueError, match="is not one word"):
+        Atom(pred, args)
 
 
 def test_parse_cfg_accepts_parentheses():

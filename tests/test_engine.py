@@ -202,11 +202,11 @@ def test_closure_order_insensitive(girls_ponies, same_content_program,
     rng = random.Random(11)
     for program in (girls_ponies, same_content_program, guard_program,
                     not_program, empty_bracket_program):
-        want = closure(program, LIMITS).bracket_free_set
+        want = frozenset(closure(program, LIMITS).bracket_free)
         for _ in range(20):
             shuffled = list(program)
             rng.shuffle(shuffled)
-            assert closure(Program(shuffled), LIMITS).bracket_free_set == want
+            assert frozenset(closure(Program(shuffled), LIMITS).bracket_free) == want
 
 
 def test_closure_monotone_in_limits(addition_program):
@@ -226,8 +226,8 @@ def test_closure_monotone_in_limits(addition_program):
                          max_tokens_per_statement=7)),
     ]
     for small, bigger in cases:
-        a = closure(addition_program, small).bracket_free_set
-        b = closure(addition_program, bigger).bracket_free_set
+        a = frozenset(closure(addition_program, small).bracket_free)
+        b = frozenset(closure(addition_program, bigger).bracket_free)
         assert a <= b
 
 
@@ -349,7 +349,7 @@ def test_sample_deterministic(girls_ponies):
 def test_sample_members_of_closure(sibling_horn):
     from bracketc import horn_to_bc
     program = horn_to_bc(sibling_horn)
-    pool = closure(program, LIMITS).bracket_free_set
+    pool = frozenset(closure(program, LIMITS).bracket_free)
     out = sample(program, LIMITS, seed=1, count=3)
     assert len(out) == 3
     for st in out:
