@@ -248,12 +248,13 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
     """Best within-budget candidate found by beam search.
 
     Starts from slot induction and from the verbatim greedy prefix (the
-    near-100%-accuracy extreme), so a within-budget program always exists.
+    near-100%-accuracy extreme); BudgetTooSmall if that prefix is empty.
     """
     corpus = list(dict.fromkeys(corpus))
     if not corpus:
         raise EmptyCorpus("corpus is empty")
-    if config.budget_chars < min(len(str(s)) for s in corpus):
+    greedy = _greedy_prefix(corpus, config.budget_chars)
+    if not greedy:
         raise BudgetTooSmall(
             f"budget {config.budget_chars} fits no single corpus statement")
 
@@ -264,9 +265,8 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
         seen.add(program)
         return evaluate_program(program, c_set, config)
 
-    starts = [_greedy_prefix(corpus, config.budget_chars), induce_slots(corpus)]
-    beam = heapq.nsmallest(config.beam_width,
-                           map(score, dict.fromkeys(starts)), key=_rank)
+    starts = dict.fromkeys([greedy, induce_slots(corpus)])
+    beam = heapq.nsmallest(config.beam_width, map(score, starts), key=_rank)
 
     rng = random.Random(config.seed)
     for _ in range(config.max_iterations):

@@ -24,6 +24,8 @@ from .syntax import (Bracket, Element, Program, Statement, alias, fresh_word,
                      lines, one_word)
 
 ARROW = "->"
+# The empty alternative in grammar text; reserved there, not in a `CFG`.
+_EPS = "eps"
 
 # A Horn predicate or argument: a word without the atom syntax "(", ")", ",".
 _TERM_RE = re.compile(r"[^\s\[\](),]+")
@@ -56,7 +58,8 @@ class CFG:
 
 
 def parse_cfg(text: str) -> CFG:
-    """Lines "N -> a B | eps"; the first left-hand side is the start."""
+    """Lines "N -> a B | eps"; the first left-hand side is the start.
+    `eps` stands alone in its alternative and is never a left-hand side."""
     productions: list[tuple[str, tuple[str, ...]]] = []
     nonterminals: list[str] = []
     for stripped in lines(text):
@@ -64,17 +67,22 @@ def parse_cfg(text: str) -> CFG:
             raise ValueError(f"grammar line without {ARROW!r}: {stripped!r}")
         lhs, rhs_text = stripped.split(ARROW, 1)
         lhs = one_word(lhs.strip(), stripped)
+        if lhs == _EPS:
+            raise ReservedSymbolClash(
+                f"{_EPS!r} used as a left-hand side: {stripped!r}")
         if lhs not in nonterminals:
             nonterminals.append(lhs)
         for alt in rhs_text.split("|"):
             symbols = tuple(one_word(sym, stripped) for sym in alt.split())
             if not symbols:
-                raise ValueError(f"empty alternative, write eps: {stripped!r}")
+                raise ValueError(f"empty alternative, write {_EPS}: {stripped!r}")
             if ARROW in symbols:
                 raise ReservedSymbolClash(
                     f"{ARROW!r} used as a grammar symbol: {stripped!r}")
-            if symbols == ("eps",):
+            if symbols == (_EPS,):
                 symbols = ()
+            elif _EPS in symbols:
+                raise ValueError(f"{_EPS!r} beside other symbols: {stripped!r}")
             productions.append((lhs, symbols))
     if not productions:
         raise ValueError("grammar has no productions")

@@ -26,7 +26,8 @@ class NoBracketedStatements(BCError):
 
 
 class ReservedSymbolClash(BCError):
-    """A grammar uses the encoding's reserved symbol '->'."""
+    """A grammar uses a reserved word as a symbol: the encoding's '->', or
+    the text format's 'eps' as a left-hand side."""
 
 
 class UnsupportedRule(BCError):

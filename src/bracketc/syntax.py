@@ -141,13 +141,10 @@ class Program:
     """
 
     def __init__(self, statements: Iterable[Statement]):
-        index: dict[Statement, None] = {}
-        given = 0
-        for given, s in enumerate(statements, 1):
-            index[s] = None
-        self._index = index
-        self.statements: tuple[Statement, ...] = tuple(index)
-        self.duplicates_dropped = given - len(index)
+        given = list(statements)
+        self._index = dict.fromkeys(given)
+        self.statements: tuple[Statement, ...] = tuple(self._index)
+        self.duplicates_dropped = len(given) - len(self._index)
         self._text = "\n".join(str(s) for s in self.statements)
 
     def __iter__(self) -> Iterator[Statement]:

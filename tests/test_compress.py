@@ -188,6 +188,18 @@ def test_compress_budget_too_small(templated_corpus):
         compress([], config(3))
 
 
+@settings(max_examples=60, deadline=None)
+@given(CORPUS, st.integers(-2, 2))
+def test_compress_budget_too_small_iff_no_statement_fits(corpus, offset):
+    budget = max(1, min(len(str(s)) for s in corpus) + offset)
+    cfg = config(budget, max_iterations=1)
+    if any(program_size(Program([s])) <= budget for s in corpus):
+        assert program_size(compress(corpus, cfg).program) <= budget
+    else:
+        with pytest.raises(BudgetTooSmall, match=f"budget {budget} fits no"):
+            compress(corpus, cfg)
+
+
 def test_compress_full_budget(templated_corpus):
     raw = program_size(Program(templated_corpus))
     cand = compress(templated_corpus, config(raw))

@@ -80,6 +80,25 @@ def test_parse_cfg_rejects_arrow_symbol():
         parse_cfg("S -> x -> y")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("S -> eps\neps -> a", "eps -> a"),
+    ("eps -> a", "eps -> a"),
+    ("S -> a\n  eps -> eps", "eps -> eps"),
+])
+def test_parse_cfg_rejects_eps_as_left_hand_side(text, line):
+    # a nonterminal `eps` could not be told from the empty alternative
+    with pytest.raises(ReservedSymbolClash,
+                       match=f"'eps' used as a left-hand side: '{line}'"):
+        parse_cfg(text)
+
+
+def test_cfg_object_takes_eps_as_a_word():
+    # only the text format reserves `eps`
+    g = CFG(frozenset({"S"}), frozenset({"a", "eps"}), "S",
+            (("S", ("a", "eps")),))
+    assert cfg_enumerate(g, 3) == {("a", "eps")}
+
+
 @pytest.mark.parametrize("text, message", [
     ("S a", "without '->'"),
     ("", "no productions"),
@@ -87,6 +106,10 @@ def test_parse_cfg_rejects_arrow_symbol():
     ("S -> a |", "empty alternative, write eps"),
     ("S -> a | | b", "empty alternative, write eps"),
     ("S ->", "empty alternative, write eps"),
+    # read as a terminal, `eps` would make "S -> a eps" derive "a eps"
+    ("S -> a eps", "'eps' beside other symbols: 'S -> a eps'"),
+    ("S -> eps eps", "'eps' beside other symbols: 'S -> eps eps'"),
+    ("S -> b\nS -> eps a", "'eps' beside other symbols: 'S -> eps a'"),
 ])
 def test_parse_cfg_rejects_malformed_text(text, message):
     with pytest.raises(ValueError, match=message):

@@ -177,6 +177,14 @@ def test_program_properties(p, s, rng):
     again = Program(with_dupes)
     assert again == p and hash(again) == hash(p)
     assert again.duplicates_dropped == len(p) // 2
+    generated = Program(t for t in with_dupes)
+    assert generated == p and hash(generated) == hash(p)
+    assert str(generated) == str(p)
+    assert generated.duplicates_dropped == len(p) // 2
+    empty = Program(iter(()))
+    assert empty == Program([]) and hash(empty) == hash(Program([]))
+    assert (empty.statements, empty.duplicates_dropped, str(empty)) == \
+        ((), 0, "")
     for probe in (s, *p):
         assert (probe in p) == any(probe == t for t in p.statements)
     assert program_size(p) == len(str(p))
