@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 from .engine import ExpansionLimits, check_count, closure, ripe_contents
 from .errors import BudgetTooSmall, EmptyCorpus
 from .metrics import FrontierPoint, MetricsReport, evaluate
-from .syntax import (WORD_RE, Bracket, Element, Program, Statement, alias,
-                     fresh_word, program_size)
+from .syntax import (STATEMENT_SEPARATOR, WORD_RE, Bracket, Element, Program,
+                     Statement, alias, fresh_word, program_size)
 
 _MAX_NEIGHBORS = 300
 
@@ -232,10 +232,16 @@ def evaluate_program(program: Program, corpus: Iterable[Statement],
 
 
 def _greedy_prefix(corpus: Sequence[Statement], budget: int) -> Program:
+    """Each sentence of the duplicate-free `corpus` in turn, taken while the
+    program of those taken still fits `budget` by `program_size`; the size
+    is kept as a running sum, so each sentence is sized once."""
     picked: list[Statement] = []
+    size = -len(STATEMENT_SEPARATOR)  # n statements take n - 1 separators
     for sent in corpus:
-        if program_size(Program(picked + [sent])) <= budget:
+        grown = size + len(STATEMENT_SEPARATOR) + program_size(Program([sent]))
+        if grown <= budget:
             picked.append(sent)
+            size = grown
     return Program(picked)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import NoBracketedStatements
 from .syntax import Bracket, Element, Program, Statement
@@ -134,6 +134,7 @@ def _endings(contents: Sequence[WordSeq], pool: Iterable[Statement],
 def expand_statement(s: Statement, pool: Iterable[Statement], *,
                      endings: dict[WordSeq, list[WordSeq]] | None = None,
                      fresh: dict[WordSeq, set[WordSeq]] | None = None,
+                     until: Callable[[Statement], bool] | None = None,
                      ) -> list[Statement]:
     """All one-step expansions of `s` against `pool`, deterministic order.
 
@@ -145,7 +146,10 @@ def expand_statement(s: Statement, pool: Iterable[Statement], *,
     first-occurrence order, and `pool` is not read.  `fresh`, if given,
     maps each class to the endings new since `s` was last expanded: then
     only the combinations that take one of them are built, in the order
-    of the full product.
+    of the full product.  `until`, if given, gets each expansion as it is
+    built; a true result ends the walk, so the rest of the product is never
+    built, and the list ends with that expansion.  `closure` passes it to
+    stop at its statement cap.
     """
     choices = (_endings(ripe_contents(s), list(pool), {}) if endings is None
                else endings)
@@ -159,6 +163,8 @@ def expand_statement(s: Statement, pool: Iterable[Statement], *,
         elements = _substitute(s.elements, dict(zip(choices, combo)))
         if elements:  # a lone removed guard could leave nothing
             results.append(Statement(elements))
+            if until is not None and until(results[-1]):
+                break
     return results
 
 
@@ -177,6 +183,10 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     statement known when the last round began skips the round if no class
     has a fresh ending, and otherwise builds only the combinations that
     take one; the others expand in full.
+
+    `at_cap` is the `until` of every `expand_statement` call: it keeps each
+    new expansion within the token cap, and at the statement cap it ends
+    the call and the round, so no combination past the cap is built.
     """
     known = set(p)
     pool = [st for st in p if st.bracket_free]
@@ -186,6 +196,20 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     index: dict[WordSeq, list[WordSeq]] = {}
     flags = TruncationFlags()
     rounds_used = 0
+
+    def at_cap(out: Statement) -> bool:
+        if out in known:
+            return False
+        if out.token_count() > limits.max_tokens_per_statement:
+            flags.tokens = True
+            return False
+        if len(known) >= limits.max_statements:
+            flags.statements = True
+            return True
+        known.add(out)
+        new.append(out)
+        return False
+
     while residual and not flags.rounds:
         # An ending names its pool statement, so no ending of `added` is
         # in the index yet.
@@ -193,23 +217,14 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
         for c, got in fresh.items():
             if got:
                 index[c] = sorted([*index[c], *got])
-        expansions = (out for i, (st, cs) in enumerate(residual)
-                      if i >= old or any(fresh[c] for c in cs)
-                      for out in expand_statement(
-                          st, (), endings=_endings(cs, pool, index),
-                          fresh=fresh if i < old else None))
-        new = []
-        for out in expansions:
-            if out in known:
+        new: list[Statement] = []  # kept by this round
+        for i, (st, cs) in enumerate(residual):
+            if i < old and not any(fresh[c] for c in cs):
                 continue
-            if out.token_count() > limits.max_tokens_per_statement:
-                flags.tokens = True
-                continue
-            if len(known) >= limits.max_statements:
-                flags.statements = True
+            expand_statement(st, (), endings=_endings(cs, pool, index),
+                             fresh=fresh if i < old else None, until=at_cap)
+            if flags.statements:
                 break
-            known.add(out)
-            new.append(out)
         rounds_used += 1
         added = [st for st in new if st.bracket_free]
         pool += added

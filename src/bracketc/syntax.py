@@ -15,6 +15,8 @@ from typing import Iterable, Iterator, Union
 from .errors import EmptyStatement, UnbalancedBrackets
 
 WORD_RE = re.compile(r"[^\s\[\]]+")
+#: What a program's canonical text puts between two statements.
+STATEMENT_SEPARATOR = "\n"
 _TOKEN_RE = re.compile(rf"\[|\]|{WORD_RE.pattern}")
 
 Element = Union[str, "Bracket"]
@@ -145,7 +147,7 @@ class Program:
         self._index = dict.fromkeys(given)
         self.statements: tuple[Statement, ...] = tuple(self._index)
         self.duplicates_dropped = len(given) - len(self._index)
-        self._text = "\n".join(str(s) for s in self.statements)
+        self._text = STATEMENT_SEPARATOR.join(str(s) for s in self.statements)
 
     def __iter__(self) -> Iterator[Statement]:
         return iter(self.statements)
@@ -170,7 +172,8 @@ class Program:
 
 
 def program_size(p: Program) -> int:
-    """Character count of the canonical serialization (newline-joined)."""
+    """Character count of the canonical serialization (statements joined
+    by `STATEMENT_SEPARATOR`)."""
     return len(str(p))
 
 

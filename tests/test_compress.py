@@ -181,6 +181,17 @@ def test_induced_and_neighbour_programs_round_trip(corpus):
 # compress
 
 
+@settings(max_examples=200, deadline=None)
+@given(CORPUS, st.integers(1, 40))
+def test_greedy_prefix_picks_as_program_size_of_each_trial_program(corpus,
+                                                                   budget):
+    picked = []
+    for sent in corpus:
+        if program_size(Program(picked + [sent])) <= budget:
+            picked.append(sent)
+    assert _greedy_prefix(corpus, budget) == Program(picked)
+
+
 def test_compress_budget_too_small(templated_corpus):
     with pytest.raises(BudgetTooSmall):
         compress(templated_corpus, config(3))

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+import bracketc.engine
 from bracketc import (ExpansionLimits, NoBracketedStatements, Program,
                       Statement, UnsupportedRule, cfg_to_bc, closure,
                       expand_statement, horn_to_bc, match_endings,
@@ -136,6 +137,17 @@ def test_expand_with_fresh_endings_drops_only_the_all_old_combinations(
         assert expand_statement(s, given_pool, endings=endings) == full
         assert expand_statement(s, given_pool, endings=endings,
                                 fresh=fresh) == with_fresh
+    # `until` ends the walk at the expansion for which it is true
+    stop = data.draw(st.integers(0, len(full)))
+    for kw, want in (({}, full), ({"fresh": fresh}, with_fresh)):
+        seen = []
+
+        def until(out):
+            seen.append(out)
+            return len(seen) > stop
+
+        got = expand_statement(s, (), endings=endings, until=until, **kw)
+        assert got == seen == want[:stop + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +253,26 @@ def test_closure_truncation_flags(addition_program):
                                                   max_tokens_per_statement=7))
     assert r.truncated.statements
     assert len(r.bracket_free) + len(r.residual) <= 30
+
+
+def test_closure_builds_no_expansion_past_the_statement_cap(monkeypatch):
+    # Each of the 4 classes, the prefixes of `W V U`, takes an ending from
+    # all 12 pool statements: 12**4 = 20,736 combinations from a program of
+    # 13 statements, under a cap of 30.
+    program = parse_program("\n".join(
+        [f"W V U u{i}" for i in range(12)] + ["X [] [W] [W V] [W V U]"]))
+    built = []
+    expand = bracketc.engine.expand_statement
+
+    def counted(*args, **kwargs):
+        result = expand(*args, **kwargs)
+        built.append(len(result))
+        return result
+
+    monkeypatch.setattr(bracketc.engine, "expand_statement", counted)
+    r = closure(program, ExpansionLimits(max_statements=30))
+    assert r.truncated.statements
+    assert sum(built) <= 30 - len(program) + 1
 
 
 def _same_closure(program, limits):
