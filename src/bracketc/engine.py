@@ -11,6 +11,9 @@ content's sorted endings in the pool, extended every round by the endings
 the last round's new bracket-free statements add (the fresh endings).  A
 statement expanded in an earlier round builds only the combinations that
 take a fresh ending.
+
+The token cap bounds the work, not only the output: a combination's token
+count is known before it is built, so `closure` prunes the product on it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import NoBracketedStatements
 from .syntax import Bracket, Element, Program, Statement
@@ -57,6 +60,17 @@ class TruncationFlags:
     @property
     def any(self) -> bool:
         return self.rounds or self.statements or self.tokens
+
+
+class TokenCap:
+    """The `tokens` bound of `expand_statement`: no expansion with more than
+    `limit` top-level tokens is built, and `cut` is set once one is skipped.
+    Not a dataclass, whose creation at import took about 0.5 ms on a
+    2-core host."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.cut = False
 
 
 @dataclass
@@ -131,10 +145,68 @@ def _endings(contents: Sequence[WordSeq], pool: Iterable[Statement],
     return {c: index[c] for c in contents}
 
 
+def _within(s: Statement, choices: dict[WordSeq, list[WordSeq]],
+            new: list[set[WordSeq]] | None, cap: TokenCap,
+            ) -> Iterator[tuple[WordSeq, ...]]:
+    """The combinations of `choices` whose expansion of `s` has at most
+    `cap.limit` top-level tokens, in the order of their product.
+
+    That count is the top-level elements of `s` that are not ripe brackets,
+    plus each class's top-level brackets times its ending's length.  A cut
+    sets `cap.cut` if it drops a combination that takes an ending of `new`
+    (any combination, when `new` is None).
+    """
+    lists = list(choices.values())
+    if not all(lists):
+        return  # all-or-nothing: no combination at all
+    ripe = [e.elements for e in s.elements
+            if isinstance(e, Bracket) and e.ripe]
+    weights = [ripe.count(c) for c in choices]
+    room = cap.limit - len(s.elements) + len(ripe)
+    # least[k] and most[k]: what classes k.. add at the fewest and most;
+    # later[k]: some combination of classes k.. takes a fresh ending.
+    n = len(lists)
+    least, most, later = [0] * (n + 1), [0] * (n + 1), [new is None] * (n + 1)
+    for k in reversed(range(n)):
+        sizes = [len(e) for e in lists[k]]
+        least[k] = least[k + 1] + weights[k] * min(sizes)
+        most[k] = most[k + 1] + weights[k] * max(sizes)
+        later[k] = later[k + 1] or bool(new[k])  # type: ignore[index]
+    if least[0] <= room:
+        yield from _walk((lists, weights, least, most, later, new, cap), 0,
+                         room, (), new is None)
+    elif later[0]:
+        cap.cut = True
+
+
+def _walk(plan: tuple, k: int, room: int, prefix: tuple[WordSeq, ...],
+          taken: bool) -> Iterator[tuple[WordSeq, ...]]:
+    """`_within`'s combinations that extend `prefix`, the endings of the
+    classes before `k`, depth-first: `room` is what classes k.. may add, at
+    least `least[k]`, and `taken` is whether `prefix` takes a fresh ending.
+    A choice is cut once the classes after it cannot fit, and the plain
+    product is yielded once the classes left always fit.  A module function,
+    since a recursive nested one is a reference cycle, which would keep the
+    endings alive until the cyclic collector runs."""
+    lists, weights, least, most, later, new, cap = plan
+    if most[k] <= room:
+        for tail in product(*lists[k:]):
+            yield prefix + tail
+        return
+    for e in lists[k]:
+        left = room - weights[k] * len(e)
+        took = taken or e in new[k]
+        if least[k + 1] <= left:
+            yield from _walk(plan, k + 1, left, (*prefix, e), took)
+        elif took or later[k + 1]:
+            cap.cut = True
+
+
 def expand_statement(s: Statement, pool: Iterable[Statement], *,
                      endings: dict[WordSeq, list[WordSeq]] | None = None,
                      fresh: dict[WordSeq, set[WordSeq]] | None = None,
                      until: Callable[[Statement], bool] | None = None,
+                     tokens: TokenCap | None = None,
                      ) -> list[Statement]:
     """All one-step expansions of `s` against `pool`, deterministic order.
 
@@ -149,7 +221,10 @@ def expand_statement(s: Statement, pool: Iterable[Statement], *,
     of the full product.  `until`, if given, gets each expansion as it is
     built; a true result ends the walk, so the rest of the product is never
     built, and the list ends with that expansion.  `closure` passes it to
-    stop at its statement cap.
+    stop at its statement cap.  `tokens`, if given, bounds the top-level
+    tokens of an expansion: a combination over `tokens.limit` is never
+    built, and `tokens.cut` is set when one that the walk reached would
+    have been (one that takes a fresh ending, when `fresh` is given).
     """
     choices = (_endings(ripe_contents(s), list(pool), {}) if endings is None
                else endings)
@@ -157,7 +232,9 @@ def expand_statement(s: Statement, pool: Iterable[Statement], *,
     if not choices:
         return results
     new = None if fresh is None else [fresh[c] for c in choices]
-    for combo in product(*choices.values()):
+    combos = (product(*choices.values()) if tokens is None
+              else _within(s, choices, new, tokens))
+    for combo in combos:
         if new is not None and not any(map(set.__contains__, new, combo)):
             continue  # all old: built when `s` was last expanded
         elements = _substitute(s.elements, dict(zip(choices, combo)))
@@ -187,8 +264,23 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     `at_cap` is the `until` of every `expand_statement` call: it keeps each
     new expansion within the token cap, and at the statement cap it ends
     the call and the round, so no combination past the cap is built.
+
+    The token cap bounds the work too.  A statement whose top-level element
+    count times `longest` fits the cap builds its plain product; any other
+    passes `cap` as the `tokens` of its call, so no combination over the
+    cap is built, and a cut sets `flags.tokens`.  That is exact: a cut
+    choice holds only statements over the cap, so none is kept and a stop
+    at the statement cap cannot fall inside it.  But a program statement
+    over the cap is known, and a combination equal to it is skipped and not
+    flagged, so with one (`longest` over the cap) every combination is
+    built and tested in `at_cap`.
     """
     known = set(p)
+    limit = limits.max_tokens_per_statement
+    cap = TokenCap(limit)
+    # The longest known statement, which `at_cap` updates: over the cap
+    # only when a program statement is, and as long as any ending at least.
+    longest = max(map(Statement.token_count, p), default=0)
     pool = [st for st in p if st.bracket_free]
     residual = [(st, ripe_contents(st)) for st in p if not st.bracket_free]
     added: list[Statement] = []  # bracket-free, kept by the last round
@@ -198,9 +290,11 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     rounds_used = 0
 
     def at_cap(out: Statement) -> bool:
+        nonlocal longest
         if out in known:
             return False
-        if out.token_count() > limits.max_tokens_per_statement:
+        size = out.token_count()
+        if size > limit:
             flags.tokens = True
             return False
         if len(known) >= limits.max_statements:
@@ -208,6 +302,8 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
             return True
         known.add(out)
         new.append(out)
+        if size > longest:
+            longest = size
         return False
 
     while residual and not flags.rounds:
@@ -221,8 +317,10 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
         for i, (st, cs) in enumerate(residual):
             if i < old and not any(fresh[c] for c in cs):
                 continue
+            check = longest <= limit < len(st.elements) * longest
             expand_statement(st, (), endings=_endings(cs, pool, index),
-                             fresh=fresh if i < old else None, until=at_cap)
+                             fresh=fresh if i < old else None, until=at_cap,
+                             tokens=cap if check else None)
             if flags.statements:
                 break
         rounds_used += 1
@@ -234,6 +332,7 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
         if flags.statements or not new:
             break
         flags.rounds = rounds_used == limits.max_rounds
+    flags.tokens |= cap.cut
     return ClosureResult(tuple(pool), tuple(st for st, _ in residual), flags,
                          rounds_used)
 

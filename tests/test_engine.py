@@ -7,9 +7,10 @@ from hypothesis import given, reject, settings, strategies as st
 import bracketc.engine
 from bracketc import (ExpansionLimits, NoBracketedStatements, Program,
                       Statement, UnsupportedRule, cfg_to_bc, closure,
-                      expand_statement, horn_to_bc, match_endings,
+                      expand_statement, horn_to_bc, match_endings, parse_cfg,
                       parse_program, parse_statement, ripe_contents, sample,
                       serialize_statement, words)
+from bracketc.engine import TokenCap
 
 from oracles import (closure_reference, forward_chain, ground, random_cfg,
                      sample_reference)
@@ -150,6 +151,40 @@ def test_expand_with_fresh_endings_drops_only_the_all_old_combinations(
         assert got == seen == want[:stop + 1]
 
 
+@settings(max_examples=300, deadline=None)
+@given(CLOSURE_STATEMENT.filter(lambda s: not s.bracket_free),
+       CLOSURE_PROGRAM, st.integers(0, 8), st.data())
+def test_expand_with_a_token_cap_builds_exactly_the_expansions_that_fit(
+        s, program, limit, data):
+    pool = [t for t in program if t.bracket_free]
+    endings = {c: sorted(match_endings(c, pool)) for c in ripe_contents(s)}
+    fresh = {c: data.draw(st.sets(st.sampled_from(e))) if e else set()
+             for c, e in endings.items()}
+    for kw in ({}, {"fresh": fresh}):
+        want = expand_statement(s, (), endings=endings, **kw)
+        cap = TokenCap(limit)
+        got = expand_statement(s, (), endings=endings, tokens=cap, **kw)
+        assert got == [out for out in want if out.token_count() <= limit]
+        # a cut is reported exactly when a combination it would build is not
+        assert cap.cut == (len(got) < len(want))
+
+
+def test_expand_with_a_token_cap_reports_a_cut_by_a_later_fresh_ending():
+    # Choosing `a a a` for [A] cuts `X a a a b` and `X a a a c`; the second
+    # takes the fresh ending of [B], so the cut drops a fresh combination
+    s = parse_statement("X [A] [B]")
+    pool = [words("A", "a"), words("A", "a", "a", "a"), words("B", "b"),
+            words("B", "c")]
+    endings = {c: sorted(match_endings(c, pool)) for c in ripe_contents(s)}
+    for fresh, cut in (({("A",): set(), ("B",): {("c",)}}, True),
+                       ({("A",): {("a",)}, ("B",): set()}, False)):
+        cap = TokenCap(3)
+        got = expand_statement(s, (), endings=endings, fresh=fresh,
+                               tokens=cap)
+        assert strs(got) == ({"X a c"} if cut else {"X a b", "X a c"})
+        assert cap.cut == cut
+
+
 # ---------------------------------------------------------------------------
 # closure
 
@@ -275,6 +310,32 @@ def test_closure_builds_no_expansion_past_the_statement_cap(monkeypatch):
     assert sum(built) <= 30 - len(program) + 1
 
 
+@pytest.mark.parametrize("program,limits,cap", [
+    # Dyck words: 39,006 expansions built to keep 393 when built first and
+    # tested after
+    (cfg_to_bc(parse_cfg("S -> L S R S | eps")),
+     ExpansionLimits(100, 200_000, 14), 14),
+    # a random grammar that built millions of expansions over the cap
+    (cfg_to_bc(random_cfg(random.Random(347))),
+     ExpansionLimits(60, 200_000, 10), 10),
+])
+def test_closure_builds_no_expansion_over_the_token_cap(monkeypatch, program,
+                                                        limits, cap):
+    built = []
+    expand = bracketc.engine.expand_statement
+
+    def counted(*args, **kwargs):
+        result = expand(*args, **kwargs)
+        built.extend(result)
+        return result
+
+    monkeypatch.setattr(bracketc.engine, "expand_statement", counted)
+    r = closure(program, limits)
+    assert r.truncated.tokens and not r.truncated.statements
+    assert built and max(out.token_count() for out in built) <= cap
+    assert set(built) <= set(r.bracket_free) | set(r.residual)
+
+
 def _same_closure(program, limits):
     got = closure(program, limits)
     want = closure_reference(program, limits)
@@ -293,8 +354,10 @@ def test_closure_matches_reference_random(program, rounds, statements,
     _same_closure(program, ExpansionLimits(rounds, statements, tokens))
 
 
-# Grammars from these seeds close in under 0.2 s at 8 tokens; some larger
-# seeds or token limits build millions of expansions per closure.
+# The naive `closure_reference` limits this test: it builds every
+# combination and then tests its tokens, so on some grammars it builds
+# millions of expansions at 10 tokens.  `test_cfg_equivalence_random`
+# checks `closure` alone there, on more seeds.
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 299))
 def test_closure_matches_reference_cfg(seed):
@@ -314,6 +377,14 @@ def test_closure_matches_reference_and_forward_chaining_horn(h):
     preds = {a.pred for a in h.facts} | {rule.head.pred for rule in h.rules}
     assert {s.words for s in r.bracket_free
             if s.words[0] in preds} == forward_chain(h)
+
+
+def test_closure_leaves_the_token_flag_for_a_program_statement_over_the_cap():
+    # `X [A] [A]` rebuilds only `X b b`, which is known and over the cap, so
+    # the closure skips it unflagged, as the reference does
+    program = parse_program("A b\nX b b\nX [A] [A]")
+    r = _same_closure(program, ExpansionLimits(100, 100, 2))
+    assert not r.truncated.any and r.rounds_used == 1
 
 
 # `X [A] [B]` takes a fresh A ending in round 2 and a fresh B ending in
