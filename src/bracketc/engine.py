@@ -64,7 +64,8 @@ class TruncationFlags:
 
 class TokenCap:
     """The `tokens` bound of `expand_statement`: no expansion with more than
-    `limit` top-level tokens is built, and `cut` is set once one is skipped.
+    `limit` top-level tokens is built, and `cut` is set once one is skipped,
+    whether or not it takes a fresh ending.
     Not a dataclass, whose creation at import took about 0.5 ms on a
     2-core host."""
 
@@ -146,59 +147,49 @@ def _endings(contents: Sequence[WordSeq], pool: Iterable[Statement],
 
 
 def _within(s: Statement, choices: dict[WordSeq, list[WordSeq]],
-            new: list[set[WordSeq]] | None, cap: TokenCap,
-            ) -> Iterator[tuple[WordSeq, ...]]:
+            cap: TokenCap) -> Iterator[tuple[WordSeq, ...]]:
     """The combinations of `choices` whose expansion of `s` has at most
     `cap.limit` top-level tokens, in the order of their product.
 
     That count is the top-level elements of `s` that are not ripe brackets,
     plus each class's top-level brackets times its ending's length.  A cut
-    sets `cap.cut` if it drops a combination that takes an ending of `new`
-    (any combination, when `new` is None).
+    that drops any combination sets `cap.cut`.
     """
     lists = list(choices.values())
     if not all(lists):
-        return  # all-or-nothing: no combination at all
+        return iter(())  # all-or-nothing: no combination at all
     ripe = [e.elements for e in s.elements
             if isinstance(e, Bracket) and e.ripe]
     weights = [ripe.count(c) for c in choices]
-    room = cap.limit - len(s.elements) + len(ripe)
-    # least[k] and most[k]: what classes k.. add at the fewest and most;
-    # later[k]: some combination of classes k.. takes a fresh ending.
+    # least[k] and most[k]: what classes k.. add at the fewest and most
     n = len(lists)
-    least, most, later = [0] * (n + 1), [0] * (n + 1), [new is None] * (n + 1)
+    least, most = [0] * (n + 1), [0] * (n + 1)
     for k in reversed(range(n)):
         sizes = [len(e) for e in lists[k]]
         least[k] = least[k + 1] + weights[k] * min(sizes)
         most[k] = most[k + 1] + weights[k] * max(sizes)
-        later[k] = later[k + 1] or bool(new[k])  # type: ignore[index]
-    if least[0] <= room:
-        yield from _walk((lists, weights, least, most, later, new, cap), 0,
-                         room, (), new is None)
-    elif later[0]:
-        cap.cut = True
+    return _walk((lists, weights, least, most, cap), 0,
+                 cap.limit - len(s.elements) + len(ripe), ())
 
 
 def _walk(plan: tuple, k: int, room: int, prefix: tuple[WordSeq, ...],
-          taken: bool) -> Iterator[tuple[WordSeq, ...]]:
+          ) -> Iterator[tuple[WordSeq, ...]]:
     """`_within`'s combinations that extend `prefix`, the endings of the
-    classes before `k`, depth-first: `room` is what classes k.. may add, at
-    least `least[k]`, and `taken` is whether `prefix` takes a fresh ending.
+    classes before `k`, depth-first: `room` is what classes k.. may add.
     A choice is cut once the classes after it cannot fit, and the plain
     product is yielded once the classes left always fit.  A module function,
     since a recursive nested one is a reference cycle, which would keep the
     endings alive until the cyclic collector runs."""
-    lists, weights, least, most, later, new, cap = plan
+    lists, weights, least, most, cap = plan
     if most[k] <= room:
         for tail in product(*lists[k:]):
             yield prefix + tail
         return
     for e in lists[k]:
         left = room - weights[k] * len(e)
-        took = taken or e in new[k]
         if least[k + 1] <= left:
-            yield from _walk(plan, k + 1, left, (*prefix, e), took)
-        elif took or later[k + 1]:
+            yield from _walk(plan, k + 1, left, (*prefix, e))
+        else:
             cap.cut = True
 
 
@@ -223,8 +214,8 @@ def expand_statement(s: Statement, pool: Iterable[Statement], *,
     built, and the list ends with that expansion.  `closure` passes it to
     stop at its statement cap.  `tokens`, if given, bounds the top-level
     tokens of an expansion: a combination over `tokens.limit` is never
-    built, and `tokens.cut` is set when one that the walk reached would
-    have been (one that takes a fresh ending, when `fresh` is given).
+    built, and `tokens.cut` is set when the walk drops one, all-old or not;
+    the `fresh` filter above is the only rule that reads fresh endings.
     """
     choices = (_endings(ripe_contents(s), list(pool), {}) if endings is None
                else endings)
@@ -233,7 +224,7 @@ def expand_statement(s: Statement, pool: Iterable[Statement], *,
         return results
     new = None if fresh is None else [fresh[c] for c in choices]
     combos = (product(*choices.values()) if tokens is None
-              else _within(s, choices, new, tokens))
+              else _within(s, choices, tokens))
     for combo in combos:
         if new is not None and not any(map(set.__contains__, new, combo)):
             continue  # all old: built when `s` was last expanded
@@ -270,10 +261,13 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     passes `cap` as the `tokens` of its call, so no combination over the
     cap is built, and a cut sets `flags.tokens`.  That is exact: a cut
     choice holds only statements over the cap, so none is kept and a stop
-    at the statement cap cannot fall inside it.  But a program statement
-    over the cap is known, and a combination equal to it is skipped and not
-    flagged, so with one (`longest` over the cap) every combination is
-    built and tested in `at_cap`.
+    at the statement cap cannot fall inside it.  A cut that drops only
+    all-old combinations flags nothing new: each was in the product when the
+    statement first met those endings, and was cut or built and flagged
+    there.  But a program statement over the cap is known, and a
+    combination equal to it is skipped and not flagged, so with one
+    (`longest` over the cap) every combination is built and tested in
+    `at_cap`.
     """
     known = set(p)
     limit = limits.max_tokens_per_statement

@@ -160,29 +160,31 @@ def test_expand_with_a_token_cap_builds_exactly_the_expansions_that_fit(
     endings = {c: sorted(match_endings(c, pool)) for c in ripe_contents(s)}
     fresh = {c: data.draw(st.sets(st.sampled_from(e))) if e else set()
              for c, e in endings.items()}
+    full = expand_statement(s, (), endings=endings)
     for kw in ({}, {"fresh": fresh}):
         want = expand_statement(s, (), endings=endings, **kw)
         cap = TokenCap(limit)
         got = expand_statement(s, (), endings=endings, tokens=cap, **kw)
         assert got == [out for out in want if out.token_count() <= limit]
-        # a cut is reported exactly when a combination it would build is not
-        assert cap.cut == (len(got) < len(want))
+        # a cut is reported exactly when the full product has an expansion
+        # over the limit, whether or not it takes a fresh ending
+        assert cap.cut == any(out.token_count() > limit for out in full)
 
 
-def test_expand_with_a_token_cap_reports_a_cut_by_a_later_fresh_ending():
-    # Choosing `a a a` for [A] cuts `X a a a b` and `X a a a c`; the second
-    # takes the fresh ending of [B], so the cut drops a fresh combination
+def test_expand_with_a_token_cap_reports_a_cut_of_only_all_old_combinations():
+    # Choosing `a a a` for [A] cuts `X a a a b` and `X a a a c`, and neither
+    # takes the fresh ending `a`: the cut drops only all-old combinations,
+    # which `fresh` would have skipped, and still sets `cut`
     s = parse_statement("X [A] [B]")
     pool = [words("A", "a"), words("A", "a", "a", "a"), words("B", "b"),
             words("B", "c")]
     endings = {c: sorted(match_endings(c, pool)) for c in ripe_contents(s)}
-    for fresh, cut in (({("A",): set(), ("B",): {("c",)}}, True),
-                       ({("A",): {("a",)}, ("B",): set()}, False)):
-        cap = TokenCap(3)
-        got = expand_statement(s, (), endings=endings, fresh=fresh,
-                               tokens=cap)
-        assert strs(got) == ({"X a c"} if cut else {"X a b", "X a c"})
-        assert cap.cut == cut
+    cap = TokenCap(3)
+    got = expand_statement(s, (), endings=endings,
+                           fresh={("A",): {("a",)}, ("B",): set()},
+                           tokens=cap)
+    assert strs(got) == {"X a b", "X a c"}
+    assert cap.cut
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +292,28 @@ def test_closure_truncation_flags(addition_program):
     assert len(r.bracket_free) + len(r.residual) <= 30
 
 
-def test_closure_builds_no_expansion_past_the_statement_cap(monkeypatch):
+@pytest.fixture
+def expansions(monkeypatch):
+    """Each result of `expand_statement` that `closure` gets, in order."""
+    results = []
+    expand = bracketc.engine.expand_statement
+
+    def recorded(*args, **kwargs):
+        results.append(expand(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bracketc.engine, "expand_statement", recorded)
+    return results
+
+
+def test_closure_builds_no_expansion_past_the_statement_cap(expansions):
     # Each of the 4 classes, the prefixes of `W V U`, takes an ending from
     # all 12 pool statements: 12**4 = 20,736 combinations from a program of
     # 13 statements, under a cap of 30.
     program = parse_program("\n".join(
         [f"W V U u{i}" for i in range(12)] + ["X [] [W] [W V] [W V U]"]))
-    built = []
-    expand = bracketc.engine.expand_statement
-
-    def counted(*args, **kwargs):
-        result = expand(*args, **kwargs)
-        built.append(len(result))
-        return result
-
-    monkeypatch.setattr(bracketc.engine, "expand_statement", counted)
     r = closure(program, ExpansionLimits(max_statements=30))
+    built = [len(result) for result in expansions]
     assert r.truncated.statements
     assert sum(built) <= 30 - len(program) + 1
 
@@ -319,18 +327,10 @@ def test_closure_builds_no_expansion_past_the_statement_cap(monkeypatch):
     (cfg_to_bc(random_cfg(random.Random(347))),
      ExpansionLimits(60, 200_000, 10), 10),
 ])
-def test_closure_builds_no_expansion_over_the_token_cap(monkeypatch, program,
+def test_closure_builds_no_expansion_over_the_token_cap(expansions, program,
                                                         limits, cap):
-    built = []
-    expand = bracketc.engine.expand_statement
-
-    def counted(*args, **kwargs):
-        result = expand(*args, **kwargs)
-        built.extend(result)
-        return result
-
-    monkeypatch.setattr(bracketc.engine, "expand_statement", counted)
     r = closure(program, limits)
+    built = [out for result in expansions for out in result]
     assert r.truncated.tokens and not r.truncated.statements
     assert built and max(out.token_count() for out in built) <= cap
     assert set(built) <= set(r.bracket_free) | set(r.residual)
@@ -385,6 +385,15 @@ def test_closure_leaves_the_token_flag_for_a_program_statement_over_the_cap():
     program = parse_program("A b\nX b b\nX [A] [A]")
     r = _same_closure(program, ExpansionLimits(100, 100, 2))
     assert not r.truncated.any and r.rounds_used == 1
+
+
+def test_closure_flags_a_cut_of_only_all_old_combinations():
+    # Round 1 cuts `X a a a b` and keeps `A z`; in round 2 the walk of
+    # `X [A] [B]` drops only the all-old `(a a a, b)` again, and builds
+    # `X z b`, which has the fresh `z`
+    program = parse_program("A a\nA a a a\nA [D]\nD z\nB b\nX [A] [B]")
+    r = _same_closure(program, ExpansionLimits(100, 1000, 4))
+    assert r.truncated.tokens and r.rounds_used == 3
 
 
 # `X [A] [B]` takes a fresh A ending in round 2 and a fresh B ending in
