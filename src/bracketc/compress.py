@@ -314,11 +314,14 @@ def frontier_sweep(corpus: Sequence[Statement], budgets: Sequence[int],
                    config: SearchConfig) -> list[FrontierPoint]:
     """One compressed point per budget plus the three reference points.
 
-    Budgets too small for any program are skipped (and logged by the CLI
-    layer); each budget gets an independent seed derived from config.seed.
+    Every budget is checked before the first search.  Budgets too small for
+    any program are skipped (and logged by the CLI layer); each budget gets
+    an independent seed derived from config.seed.
     """
     if not budgets or any(b < 1 for b in budgets):
         raise ValueError("budgets must be non-empty and positive")
+    for b in budgets:
+        check_count("budgets", b, 1)
     points: list[FrontierPoint] = []
     for i, budget in enumerate(budgets):
         try:

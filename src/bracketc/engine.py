@@ -94,18 +94,18 @@ def ripe_contents(s: Statement) -> list[WordSeq]:
     The empty content is one distinct class; a bracket-free statement
     yields an empty list.
     """
-    out: dict[WordSeq, None] = {}
+    return list(dict.fromkeys(_ripe(s.elements)))
 
-    def walk(elements: Iterable[Element]) -> None:
-        for e in elements:
-            if isinstance(e, Bracket):
-                if e.ripe:
-                    out[e.elements] = None  # type: ignore[index]
-                else:
-                    walk(e.elements)
 
-    walk(s.elements)
-    return list(out)
+def _ripe(elements: Iterable[Element]) -> Iterator[WordSeq]:
+    """Ripe bracket contents in `elements`, depth-first; a module function
+    for the reason given at `_walk`."""
+    for e in elements:
+        if isinstance(e, Bracket):
+            if e.ripe:
+                yield e.elements  # type: ignore[misc]
+            else:
+                yield from _ripe(e.elements)
 
 
 def match_endings(content: WordSeq, pool: Iterable[Statement]) -> set[WordSeq]:
@@ -257,12 +257,13 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     the call and the round, so no combination past the cap is built.
 
     The token cap bounds the work too.  A statement whose top-level element
-    count times `longest` fits the cap builds its plain product; any other
-    passes `cap` as the `tokens` of its call, so no combination over the
-    cap is built, and a cut sets `flags.tokens`.  That is exact: a cut
-    choice holds only statements over the cap, so none is kept and a stop
-    at the statement cap cannot fall inside it.  A cut that drops only
-    all-old combinations flags nothing new: each was in the product when the
+    count times `longest` (the longest program or pool statement, raised
+    once per round) fits the cap builds its plain product; any other passes
+    `cap` as the `tokens` of its call, so no combination over the cap is
+    built, and a cut sets `flags.tokens`.  That is exact: a cut choice
+    holds only statements over the cap, so none is kept and a stop at the
+    statement cap cannot fall inside it.  A cut that drops only all-old
+    combinations flags nothing new: each was in the product when the
     statement first met those endings, and was cut or built and flagged
     there.  But a program statement over the cap is known, and a
     combination equal to it is skipped and not flagged, so with one
@@ -272,8 +273,8 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     known = set(p)
     limit = limits.max_tokens_per_statement
     cap = TokenCap(limit)
-    # The longest known statement, which `at_cap` updates: over the cap
-    # only when a program statement is, and as long as any ending at least.
+    # The longest program or pool statement, raised once per round: over
+    # the cap only when a program statement is, and as long as any ending.
     longest = max(map(Statement.token_count, p), default=0)
     pool = [st for st in p if st.bracket_free]
     residual = [(st, ripe_contents(st)) for st in p if not st.bracket_free]
@@ -284,11 +285,9 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     rounds_used = 0
 
     def at_cap(out: Statement) -> bool:
-        nonlocal longest
         if out in known:
             return False
-        size = out.token_count()
-        if size > limit:
+        if out.token_count() > limit:
             flags.tokens = True
             return False
         if len(known) >= limits.max_statements:
@@ -296,8 +295,6 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
             return True
         known.add(out)
         new.append(out)
-        if size > longest:
-            longest = size
         return False
 
     while residual and not flags.rounds:
@@ -320,6 +317,7 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
         rounds_used += 1
         added = [st for st in new if st.bracket_free]
         pool += added
+        longest = max([longest, *map(Statement.token_count, added)])
         old = len(residual)
         residual += [(st, ripe_contents(st)) for st in new
                      if not st.bracket_free]

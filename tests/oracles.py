@@ -1,21 +1,32 @@
 """Independent reference implementations used only for checking results."""
 
 import random
+import re
 from itertools import product
 
 from bracketc import (CFG, Bracket, BudgetTooSmall, ClosureResult,
                       EmptyCorpus, ExpansionLimits, FrontierPoint, HornProgram,
                       NoBracketedStatements, Program, Statement, Var,
-                      expand_statement, induce_slots, match_endings, neighbors,
-                      ripe_contents)
+                      expand_statement, induce_slots, match_endings, neighbors)
 from bracketc.compress import _rank, evaluate_program
 from bracketc.engine import TruncationFlags
+
+
+_RIPE = re.compile(r"\[([^\[\]]*)\]")
+
+
+def ripe_contents_reference(s: Statement) -> list[tuple[str, ...]]:
+    """Distinct ripe bracket contents, first occurrence first, read from the
+    statement's text: a ripe bracket is one with no bracket inside."""
+    return list(dict.fromkeys(tuple(m.split())
+                              for m in _RIPE.findall(str(s))))
 
 
 def closure_reference(p: Program, limits: ExpansionLimits) -> ClosureResult:
     """The closure loop as first written: every round expands each residual
     statement against the round-start pool and queues new bracket-free and
-    residual statements in separate lists."""
+    residual statements in separate lists.  Its content classes come from
+    `ripe_contents_reference`, not from the engine."""
     pool: dict[Statement, None] = {}
     residual: dict[Statement, None] = {}
     for st in p:
@@ -31,7 +42,9 @@ def closure_reference(p: Program, limits: ExpansionLimits) -> ClosureResult:
         queued: set[Statement] = set()
         capped = False
         for st in residual:
-            for out in expand_statement(st, snapshot):
+            endings = {c: sorted(match_endings(c, snapshot))
+                       for c in ripe_contents_reference(st)}
+            for out in expand_statement(st, (), endings=endings):
                 if out in pool or out in residual or out in queued:
                     continue
                 if out.token_count() > limits.max_tokens_per_statement:
@@ -96,7 +109,7 @@ def sample_reference(p, limits, seed, count):
         st = rng.choice(bracketed)
         for _ in range(limits.max_rounds):
             choices = {c: sorted(match_endings(c, pool))
-                       for c in ripe_contents(st)}
+                       for c in ripe_contents_reference(st)}
             if not all(choices.values()):
                 break
             elements = ground(st.elements,

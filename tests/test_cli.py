@@ -244,6 +244,14 @@ def test_frontier_reports_skipped_budget(files, tmp_path, capsys):
     assert labels == ["compress", "a", "b", "c"]
 
 
+def test_frontier_reads_a_negative_budget_joined_to_its_flag(files, capsys):
+    # a separate "-2,40" would be read by argparse as an option
+    _, _, corpus = files
+    assert main(["frontier", corpus, "--budgets=-2,40", "--csv", "-"]) == 1
+    assert "error: budgets must be non-empty and positive" in \
+        capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage: bracketc" in capsys.readouterr().out

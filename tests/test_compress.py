@@ -362,6 +362,17 @@ def test_frontier_sweep_rejects_a_budget_below_one(templated_corpus):
         frontier_sweep(templated_corpus, [60, 0], config(60))
 
 
+@pytest.mark.parametrize("bad", [True, 2.5])
+def test_frontier_sweep_checks_every_budget_before_it_searches(
+        templated_corpus, monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(importlib.import_module("bracketc.compress"),
+                        "compress", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="budgets must be an int"):
+        frontier_sweep(templated_corpus, [40, bad], config(40))
+    assert calls == []
+
+
 def test_search_config_rejects_negative_iterations():
     for bad in (-1, 1.5, True):
         with pytest.raises(ValueError, match="max_iterations"):

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 
@@ -6,15 +7,16 @@ from hypothesis import given, reject, settings, strategies as st
 
 import bracketc.engine
 from bracketc import (ExpansionLimits, NoBracketedStatements, Program,
-                      Statement, UnsupportedRule, cfg_to_bc, closure,
-                      expand_statement, horn_to_bc, match_endings, parse_cfg,
-                      parse_program, parse_statement, ripe_contents, sample,
-                      serialize_statement, words)
+                      SearchConfig, Statement, UnsupportedRule, cfg_to_bc,
+                      closure, compress, expand_statement, horn_to_bc,
+                      match_endings, parse_cfg, parse_program, parse_statement,
+                      ripe_contents, sample, serialize_statement, words)
 from bracketc.engine import TokenCap
 
 from oracles import (closure_reference, forward_chain, ground, random_cfg,
-                     sample_reference)
-from strategies import CLOSURE_PROGRAM, CLOSURE_STATEMENT, HORN_PROGRAM
+                     ripe_contents_reference, sample_reference)
+from strategies import (CLOSURE_PROGRAM, CLOSURE_STATEMENT, HORN_PROGRAM,
+                        STATEMENT)
 
 LIMITS = ExpansionLimits()
 
@@ -42,6 +44,17 @@ def test_ripe_contents_empty_class():
 
 def test_ripe_contents_bracket_free():
     assert ripe_contents(parse_statement("A B")) == []
+
+
+def test_ripe_contents_lists_a_nested_content_in_text_order():
+    s = parse_statement("X [[A] B] [C]")
+    assert ripe_contents(s) == ripe_contents_reference(s) == [("A",), ("C",)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(STATEMENT)
+def test_ripe_contents_matches_reference(s):
+    assert ripe_contents(s) == ripe_contents_reference(s)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +136,8 @@ def test_expand_varying_ending_lengths():
 def test_expand_with_fresh_endings_drops_only_the_all_old_combinations(
         s, program, data):
     pool = [t for t in program if t.bracket_free]
-    endings = {c: sorted(match_endings(c, pool)) for c in ripe_contents(s)}
+    endings = {c: sorted(match_endings(c, pool))
+               for c in ripe_contents_reference(s)}
     fresh = {c: data.draw(st.sets(st.sampled_from(e))) if e else set()
              for c, e in endings.items()}
     full, with_fresh = [], []
@@ -537,3 +551,28 @@ def test_closure_and_sample_statements_round_trip(program, rounds, statements,
     drawn = sample(program, limits, seed, 4) if r.residual else []
     for s in (*r.bracket_free, *r.residual, *drawn):
         assert parse_statement(serialize_statement(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# garbage
+
+
+def test_closure_sample_and_compress_leave_no_cyclic_garbage(
+        addition_program, templated_corpus):
+    """A reference cycle keeps what it holds alive until the cyclic
+    collector runs, so with the collector off no call may leave one."""
+    limits = ExpansionLimits(max_tokens_per_statement=7)
+    calls = [lambda: closure(addition_program, limits),
+             lambda: sample(addition_program, limits, 0, 4),
+             lambda: compress(templated_corpus,
+                              SearchConfig(budget_chars=60, max_iterations=2))]
+    gc.collect()
+    gc.disable()
+    try:
+        found = []
+        for call in calls:
+            call()
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    assert found == [0, 0, 0]
