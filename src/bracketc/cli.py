@@ -147,9 +147,17 @@ def _cmd_compress(args: argparse.Namespace) -> None:
     print(cand.report.as_kv(), file=sys.stderr)
 
 
+def _budget(item: str) -> int:
+    try:
+        return int(item)
+    except ValueError:
+        raise ValueError(
+            f"--budgets: {item.strip()!r} is not a whole number") from None
+
+
 def _cmd_frontier(args: argparse.Namespace) -> None:
     corpus = load_corpus(args.corpus, _options(TokenizerOptions, args))
-    budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
+    budgets = [_budget(b) for b in args.budgets.split(",") if b.strip()]
     # frontier_sweep checks the budgets and sets each run's budget_chars
     points = frontier_sweep(corpus, budgets, _search_config(args, budget_chars=1))
     skipped = len(budgets) - sum(p.method_label == "compress" for p in points)

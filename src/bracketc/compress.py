@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .engine import ExpansionLimits, check_count, closure, ripe_contents
+from .engine import (ExpansionLimits, ExpansionTable, check_count, closure,
+                     ripe_contents)
 from .errors import BudgetTooSmall, EmptyCorpus
 from .metrics import FrontierPoint, MetricsReport, evaluate
 from .syntax import (STATEMENT_SEPARATOR, WORD_RE, Bracket, Element, Program,
@@ -142,8 +143,33 @@ def _rename(elements: Sequence[Element], old: str, new: str) -> tuple[Element, .
 
 
 def neighbors(program: Program, corpus: Sequence[Statement],
-              config: SearchConfig, rng: random.Random) -> list[Program]:
-    """All bounded mutations of a program, deterministic order."""
+              config: SearchConfig, rng: random.Random, *,
+              moves: dict[Program, list[Program]] | None = None,
+              table: ExpansionTable | None = None,
+              ) -> list[Program]:
+    """All bounded mutations of a program, deterministic order; over
+    `_MAX_NEIGHBORS`, a sorted sample that `rng` draws.
+
+    `moves`, if given, maps each program to its sorted mutations, for one
+    corpus and config: a program found there is not mutated again, and
+    only its sample is drawn again, so `rng` draws as it would without.
+    `table` is the expansion table of move (c)'s closure.
+    """
+    ordered = None if moves is None else moves.get(program)
+    if ordered is None:
+        ordered = _mutations(program, corpus, config, table)
+        if moves is not None:
+            moves[program] = ordered
+    if len(ordered) > _MAX_NEIGHBORS:
+        keep = sorted(rng.sample(range(len(ordered)), _MAX_NEIGHBORS))
+        return [ordered[i] for i in keep]
+    return list(ordered)
+
+
+def _mutations(program: Program, corpus: Sequence[Statement],
+               config: SearchConfig,
+               table: ExpansionTable | None) -> list[Program]:
+    """`neighbors` before the cap, sorted by text."""
     stmts = list(program)
     cats = _categories(program)
     # every word of the corpus and of the program, inside brackets too
@@ -165,7 +191,7 @@ def neighbors(program: Program, corpus: Sequence[Statement],
             emit(stmts[:i] + stmts[i + 1:])
 
     # (c) add one uncovered corpus sentence verbatim
-    covered = set(closure(program, config.limits).bracket_free)
+    covered = set(closure(program, config.limits, table=table).bracket_free)
     for sent in corpus:
         if sent not in covered:
             emit(stmts + [sent])
@@ -208,11 +234,7 @@ def neighbors(program: Program, corpus: Sequence[Statement],
                     st.elements[:pos] + (bracket,) + st.elements[pos + 1:])
                 emit(stmts[:idx] + [new_st] + stmts[idx + 1:] + extra)
 
-    ordered = sorted(results, key=str)
-    if len(ordered) > _MAX_NEIGHBORS:
-        keep = sorted(rng.sample(range(len(ordered)), _MAX_NEIGHBORS))
-        ordered = [ordered[i] for i in keep]
-    return ordered
+    return sorted(results, key=str)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +242,14 @@ def neighbors(program: Program, corpus: Sequence[Statement],
 
 
 def evaluate_program(program: Program, corpus: Iterable[Statement],
-                     config: SearchConfig) -> Candidate:
-    """Score a program by closure + metrics; over the budget, -inf unclosed."""
+                     config: SearchConfig, *,
+                     table: ExpansionTable | None = None) -> Candidate:
+    """Score a program by closure + metrics; over the budget, -inf unclosed.
+    `table` is the closure's expansion table (see `engine.closure`)."""
     size = program_size(program)
     if size > config.budget_chars:
         return Candidate(program, None, float("-inf"))
-    result = closure(program, config.limits)
+    result = closure(program, config.limits, table=table)
     report = evaluate(result.bracket_free, corpus, size, result.truncated.any)
     return Candidate(program, report, float(report.completeness)
                      + config.lambda_accuracy * float(report.accuracy))
@@ -255,6 +279,11 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
 
     Starts from slot induction and from the verbatim greedy prefix (the
     near-100%-accuracy extreme); BudgetTooSmall if that prefix is empty.
+
+    The search owns two tables, dropped when it returns: every closure's
+    expansion table, since its programs are one statement apart and share
+    their expansions, and `neighbors`' mutation lists, since a beam member
+    kept for another iteration is mutated again.
     """
     corpus = list(dict.fromkeys(corpus))
     if not corpus:
@@ -266,10 +295,12 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
 
     c_set = frozenset(corpus)
     seen: set[Program] = set()
+    table: ExpansionTable = {}
+    moves: dict[Program, list[Program]] = {}
 
     def score(program: Program) -> Candidate:
         seen.add(program)
-        return evaluate_program(program, c_set, config)
+        return evaluate_program(program, c_set, config, table=table)
 
     starts = dict.fromkeys([greedy, induce_slots(corpus)])
     beam = heapq.nsmallest(config.beam_width, map(score, starts), key=_rank)
@@ -278,7 +309,8 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
     for _ in range(config.max_iterations):
         # the new beam keeps the old one's best, so beam[0] is the best yet
         produced = (score(prog) for cand in beam
-                    for prog in neighbors(cand.program, corpus, config, rng)
+                    for prog in neighbors(cand.program, corpus, config, rng,
+                                          moves=moves, table=table)
                     if prog not in seen)
         new_beam = heapq.nsmallest(config.beam_width, chain(beam, produced),
                                    key=_rank)

@@ -21,12 +21,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from itertools import product
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import NoBracketedStatements
 from .syntax import Bracket, Element, Program, Statement
 
 WordSeq = tuple[str, ...]
+#: Each statement's expansions by combination (see `expand_statement`).
+ExpansionTable = dict[Statement, dict[tuple[WordSeq, ...], Statement | None]]
+_ELEMENTS = attrgetter("elements")
 
 
 def check_count(name: str, value: object, least: int) -> None:
@@ -193,11 +197,15 @@ def _walk(plan: tuple, k: int, room: int, prefix: tuple[WordSeq, ...],
             cap.cut = True
 
 
+_UNBUILT = object()  # a combination not in `expand_statement`'s table
+
+
 def expand_statement(s: Statement, pool: Iterable[Statement], *,
                      endings: dict[WordSeq, list[WordSeq]] | None = None,
                      fresh: dict[WordSeq, set[WordSeq]] | None = None,
                      until: Callable[[Statement], bool] | None = None,
                      tokens: TokenCap | None = None,
+                     table: ExpansionTable | None = None,
                      ) -> list[Statement]:
     """All one-step expansions of `s` against `pool`, deterministic order.
 
@@ -216,6 +224,11 @@ def expand_statement(s: Statement, pool: Iterable[Statement], *,
     tokens of an expansion: a combination over `tokens.limit` is never
     built, and `tokens.cut` is set when the walk drops one, all-old or not;
     the `fresh` filter above is the only rule that reads fresh endings.
+    `table`, if given, maps `s` to the statement each combination built, or
+    None where it left nothing: a combination found there is not built
+    again.  It holds built statements only, so every rule above reads it
+    as it would the built ones, and any calls may share it, since
+    `endings` keeps the classes in first-occurrence order.
     """
     choices = (_endings(ripe_contents(s), list(pool), {}) if endings is None
                else endings)
@@ -225,18 +238,27 @@ def expand_statement(s: Statement, pool: Iterable[Statement], *,
     new = None if fresh is None else [fresh[c] for c in choices]
     combos = (product(*choices.values()) if tokens is None
               else _within(s, choices, tokens))
+    # keyed by the combination, a tuple of word tuples hashed in C
+    memo = None if table is None else table.setdefault(s, {})
     for combo in combos:
         if new is not None and not any(map(set.__contains__, new, combo)):
             continue  # all old: built when `s` was last expanded
-        elements = _substitute(s.elements, dict(zip(choices, combo)))
-        if elements:  # a lone removed guard could leave nothing
-            results.append(Statement(elements))
-            if until is not None and until(results[-1]):
+        out = _UNBUILT if memo is None else memo.get(combo, _UNBUILT)
+        if out is _UNBUILT:
+            elements = _substitute(s.elements, dict(zip(choices, combo)))
+            # a lone removed guard could leave nothing
+            out = Statement(elements) if elements else None
+            if memo is not None:
+                memo[combo] = out
+        if out is not None:
+            results.append(out)
+            if until is not None and until(out):
                 break
     return results
 
 
-def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
+def closure(p: Program, limits: ExpansionLimits, *,
+            table: ExpansionTable | None = None) -> ClosureResult:
     """Iterate expansion rounds to a fixpoint or a limit.
 
     The program is split once into `pool` (bracket-free) and `residual`
@@ -269,6 +291,11 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
     combination equal to it is skipped and not flagged, so with one
     (`longest` over the cap) every combination is built and tested in
     `at_cap`.
+
+    `table`, if given, is every call's `expand_statement` table: closures of
+    programs that share statements, such as a search's neighbours, then
+    build each (statement, combination) once between them.  Within one
+    closure none is built twice, so a lone closure passes none.
     """
     known = set(p)
     limit = limits.max_tokens_per_statement
@@ -311,13 +338,14 @@ def closure(p: Program, limits: ExpansionLimits) -> ClosureResult:
             check = longest <= limit < len(st.elements) * longest
             expand_statement(st, (), endings=_endings(cs, pool, index),
                              fresh=fresh if i < old else None, until=at_cap,
-                             tokens=cap if check else None)
+                             tokens=cap if check else None, table=table)
             if flags.statements:
                 break
         rounds_used += 1
         added = [st for st in new if st.bracket_free]
         pool += added
-        longest = max([longest, *map(Statement.token_count, added)])
+        longest = max(longest, max(map(len, map(_ELEMENTS, added)),
+                                   default=0))
         old = len(residual)
         residual += [(st, ripe_contents(st)) for st in new
                      if not st.bracket_free]

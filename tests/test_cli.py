@@ -252,6 +252,14 @@ def test_frontier_reads_a_negative_budget_joined_to_its_flag(files, capsys):
         capsys.readouterr().err
 
 
+def test_frontier_names_the_flag_and_a_budget_that_is_no_integer(files,
+                                                                  capsys):
+    _, _, corpus = files
+    assert main(["frontier", corpus, "--budgets=40, 2.5", "--csv", "-"]) == 1
+    assert capsys.readouterr().err == \
+        "error: --budgets: '2.5' is not a whole number\n"
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage: bracketc" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,7 @@ from bracketc import (BudgetTooSmall, EmptyCorpus, ExpansionLimits, Program,
 from bracketc.cli import main
 from bracketc.compress import evaluate_program, _greedy_prefix
 
+import oracles
 from oracles import compress_reference
 from strategies import CORPUS
 
@@ -302,9 +304,9 @@ def test_compress_samples_capped_neighbours_as_the_reference_does(monkeypatch):
                         for i in range(310)), key=str)
     scored = []
 
-    def recording(p, *args):
+    def recording(p, *args, **kwargs):
         scored.append(p)
-        return evaluate_program(p, *args)
+        return evaluate_program(p, *args, **kwargs)
 
     module = importlib.import_module("bracketc.compress")
     monkeypatch.setattr(module, "evaluate_program", recording)
@@ -321,6 +323,50 @@ def test_compress_samples_capped_neighbours_as_the_reference_does(monkeypatch):
         drawn = random.Random(seed).sample(range(310), 300)
         assert samples[-1] == {program, *(deletions[i] for i in drawn)}
     assert samples[0] != samples[1]
+
+
+def test_compress_draws_a_fresh_sample_for_a_kept_capped_member(monkeypatch):
+    # the verbatim program of 310 sentences is kept for a second iteration,
+    # where its deletions, over the cap, come from its stored list: the
+    # sample drawn from that list must be the one a fresh list gives
+    corpus = [words(f"W{i}", "X") for i in range(310)]
+    budget = program_size(Program(corpus))
+
+    def recording(scored):
+        def evaluate(p, *args, **kwargs):
+            scored.add(p)
+            return evaluate_program(p, *args, **kwargs)
+        return evaluate
+
+    for seed in (0, 1):
+        cfg = config(budget, seed=seed, max_iterations=2)
+        got, want = set(), set()
+        monkeypatch.setattr(importlib.import_module("bracketc.compress"),
+                            "evaluate_program", recording(got))
+        monkeypatch.setattr(oracles, "evaluate_program", recording(want))
+        assert compress(corpus, cfg) == compress_reference(corpus, cfg)
+        assert len(got) > 1 + 300  # the second iteration scored programs
+        assert got == want
+
+
+def test_compress_builds_no_combination_twice(templated_corpus, monkeypatch):
+    engine = importlib.import_module("bracketc.engine")
+    substitute = engine._substitute
+    built = Counter()
+    depth = []  # the calls `_substitute` makes itself, for nested brackets
+
+    def counting(elements, assignment):
+        if not depth:
+            built[elements, tuple(assignment.items())] += 1
+        depth.append(elements)
+        try:
+            return substitute(elements, assignment)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(engine, "_substitute", counting)
+    compress(templated_corpus, config(170))
+    assert built and max(built.values()) == 1
 
 
 def test_compress_and_reference_reject_an_empty_corpus():

@@ -201,6 +201,47 @@ def test_expand_with_a_token_cap_reports_a_cut_of_only_all_old_combinations():
     assert cap.cut
 
 
+@settings(max_examples=300, deadline=None)
+@given(CLOSURE_STATEMENT.filter(lambda s: not s.bracket_free),
+       CLOSURE_PROGRAM, st.integers(0, 8), st.data())
+def test_expand_with_a_table_returns_what_it_builds_without(
+        s, program, limit, data):
+    pool = [t for t in program if t.bracket_free]
+    endings = {c: sorted(match_endings(c, pool)) for c in ripe_contents(s)}
+    fresh = {c: data.draw(st.sets(st.sampled_from(e))) if e else set()
+             for c, e in endings.items()}
+    stop = data.draw(st.integers(0, 4))
+
+    def run(table, fresh=None, until=False, limit=None):
+        seen = []
+        cap = None if limit is None else TokenCap(limit)
+        got = expand_statement(
+            s, (), endings=endings, fresh=fresh, tokens=cap, table=table,
+            until=(lambda out: seen.append(out) or len(seen) > stop)
+            if until else None)
+        return got, seen, cap and cap.cut
+
+    table = {}
+    modes = [{"fresh": fresh}, {"limit": limit}, {"until": True},
+             {"fresh": fresh, "limit": limit, "until": True}, {}]
+    for kw in modes * 2:  # the second time, every combination is a hit
+        assert run(table, **kw) == run(None, **kw)
+
+
+def test_expand_with_a_table_builds_each_combination_once(monkeypatch):
+    # `A` leaves nothing for [A], and that combination is not built again
+    s = parse_statement("[A]")
+    pool = [words("A"), words("A", "b")]
+    built = []
+    substitute = bracketc.engine._substitute
+    monkeypatch.setattr(bracketc.engine, "_substitute",
+                        lambda *args: built.append(args) or substitute(*args))
+    table = {}
+    for _ in range(2):
+        assert expand_statement(s, pool, table=table) == [words("b")]
+    assert len(built) == 2
+
+
 # ---------------------------------------------------------------------------
 # closure
 
@@ -366,6 +407,21 @@ def _same_closure(program, limits):
 def test_closure_matches_reference_random(program, rounds, statements,
                                           tokens):
     _same_closure(program, ExpansionLimits(rounds, statements, tokens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(CLOSURE_PROGRAM, st.integers(1, 8), st.integers(1, 30),
+       st.integers(1, 8))
+def test_closure_with_a_shared_table_matches_closure_without(
+        program, rounds, statements, tokens):
+    # a program and each of its one-statement deletions, as a search scores
+    # them, closed through one table
+    limits = ExpansionLimits(rounds, statements, tokens)
+    stmts = list(program)
+    table = {}
+    for p in [program, *(Program(stmts[:i] + stmts[i + 1:])
+                         for i in range(len(stmts)))]:
+        assert closure(p, limits, table=table) == closure(p, limits)
 
 
 # The naive `closure_reference` limits this test: it builds every
