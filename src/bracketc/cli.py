@@ -18,7 +18,7 @@ from .encoders import cfg_to_bc, horn_to_bc, parse_cfg, parse_horn
 from .engine import ExpansionLimits, closure, sample
 from .errors import BCError
 from .metrics import CSV_HEADER, FrontierPoint, evaluate
-from .syntax import Program, Statement, load_program, program_size
+from .syntax import Program, Statement, load_program, program_size, read_text
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
@@ -133,8 +133,7 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
 
 
 def _cmd_encode(args: argparse.Namespace) -> None:
-    with open(args.source, encoding="utf-8") as fh:
-        source = args.parse(fh.read())
+    source = args.parse(read_text(args.source))
     _write(args.output, str(args.encode(source)))
 
 

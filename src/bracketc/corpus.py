@@ -11,10 +11,10 @@ import re
 from dataclasses import dataclass
 
 from .errors import BracketInCorpus, EmptyCorpus
-from .syntax import Statement
+from .syntax import Statement, lines, read_text
 
 _PUNCT_SPLIT_RE = re.compile(r"[.,!?;:]|[^\s.,!?;:]+")
-_SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
+_SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+|\n\s*\n")
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,9 @@ def corpus_from_text(text: str,
     if "[" in text or "]" in text:
         raise BracketInCorpus("corpus text contains reserved bracket characters")
     if opts.one_statement_per_line:
-        chunks = text.splitlines()
+        chunks = lines(text, ())
     else:
-        chunks = [c for line_group in text.split("\n\n")
-                  for c in _SENTENCE_SPLIT_RE.split(line_group.replace("\n", " "))]
+        chunks = _SENTENCE_SPLIT_RE.split(text)
     seen: dict[Statement, None] = {}
     for chunk in chunks:
         if opts.fold_case:
@@ -51,5 +50,4 @@ def corpus_from_text(text: str,
 
 def load_corpus(path: str,
                 opts: TokenizerOptions = TokenizerOptions()) -> list[Statement]:
-    with open(path, encoding="utf-8") as fh:
-        return corpus_from_text(fh.read(), opts)
+    return corpus_from_text(read_text(path), opts)

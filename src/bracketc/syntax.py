@@ -190,6 +190,16 @@ def parse_program(text: str) -> Program:
     return Program(map(parse_statement, lines(text)))
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at `path` without a leading byte-order mark;
+    ValueError naming the file and the offset of a byte that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} is not UTF-8 "
+                         f"({exc.reason})") from None
+
+
 def load_program(path: str) -> Program:
-    with open(path, encoding="utf-8") as fh:
-        return parse_program(fh.read())
+    return parse_program(read_text(path))

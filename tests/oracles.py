@@ -7,7 +7,7 @@ from itertools import product
 from bracketc import (CFG, Bracket, BudgetTooSmall, ClosureResult,
                       EmptyCorpus, ExpansionLimits, FrontierPoint, HornProgram,
                       NoBracketedStatements, Program, Statement, Var,
-                      expand_statement, induce_slots, match_endings, neighbors)
+                      induce_slots, match_endings, neighbors)
 from bracketc.compress import _rank, evaluate_program
 from bracketc.engine import TruncationFlags
 
@@ -26,7 +26,8 @@ def closure_reference(p: Program, limits: ExpansionLimits) -> ClosureResult:
     """The closure loop as first written: every round expands each residual
     statement against the round-start pool and queues new bracket-free and
     residual statements in separate lists.  Its content classes come from
-    `ripe_contents_reference`, not from the engine."""
+    `ripe_contents_reference` and its expansions from `ground`, not from the
+    engine."""
     pool: dict[Statement, None] = {}
     residual: dict[Statement, None] = {}
     for st in p:
@@ -44,7 +45,11 @@ def closure_reference(p: Program, limits: ExpansionLimits) -> ClosureResult:
         for st in residual:
             endings = {c: sorted(match_endings(c, snapshot))
                        for c in ripe_contents_reference(st)}
-            for out in expand_statement(st, (), endings=endings):
+            for combo in product(*endings.values()):
+                grounded = ground(st.elements, dict(zip(endings, combo)))
+                if not grounded:
+                    continue
+                out = Statement(grounded)
                 if out in pool or out in residual or out in queued:
                     continue
                 if out.token_count() > limits.max_tokens_per_statement:
@@ -171,6 +176,31 @@ def compress_reference(corpus, config):
             break
         beam = new_beam
     return best
+
+
+def corpus_reference(text, opts):
+    """`corpus_from_text` as first written, on text without brackets: lines
+    from `splitlines`, or in sentence mode paragraphs split at two newlines
+    in a row, their newlines made spaces, and each paragraph split after
+    `.!?` plus whitespace."""
+    if opts.one_statement_per_line:
+        chunks = text.splitlines()
+    else:
+        chunks = [c for paragraph in text.split("\n\n")
+                  for c in re.split(r"(?<=[.!?])\s+",
+                                    paragraph.replace("\n", " "))]
+    found = []
+    for chunk in chunks:
+        if opts.fold_case:
+            chunk = chunk.upper()
+        if opts.split_punctuation:
+            found.append(re.findall(r"[.,!?;:]|[^\s.,!?;:]+", chunk))
+        else:
+            found.append(chunk.split())
+    statements = [Statement(tuple(tokens)) for tokens in found if tokens]
+    if not statements:
+        raise EmptyCorpus("no statements in corpus text")
+    return list(dict.fromkeys(statements))
 
 
 def forward_chain(h: HornProgram) -> set[tuple[str, ...]]:

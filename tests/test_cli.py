@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from bracketc import SearchConfig, cli, compress, load_corpus, parse_program
 from bracketc.cli import main
+from unreached import PACKAGE
 
 GIRLS = "GIRL LINDA\nGIRL MARY\n[GIRL] LIKES PONIES\n"
 GIRLS_CORPUS = "GIRL LINDA\nGIRL MARY\nMARY LIKES PONIES\nLINDA LIKES PONIES\n"
@@ -43,6 +48,41 @@ def test_unexpected_exception_is_an_internal_error(files, monkeypatch, capsys):
 def test_check_missing_file(files, capsys):
     assert main(["check", "/nonexistent/prog.bc"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_metrics_names_the_file_that_is_not_utf8(files, capsys):
+    tmp_path, prog, _ = files
+    corpus = tmp_path / "latin1.txt"
+    corpus.write_bytes("GIRL MARY\nGIRL ZOË\n".encode("latin-1"))
+    assert main(["metrics", prog, str(corpus)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {corpus}: byte 17 is not UTF-8 (invalid continuation byte)\n"
+
+
+# Each kind of input file, with text whose first word a byte-order mark
+# would change; `metrics` reads the corpus after the fixture's program.
+BOM_INPUTS = {
+    "program": (["expand"], "A a\nX [A]\n"),
+    "corpus": (["metrics", "PROGRAM"], GIRLS_CORPUS),
+    "grammar": (["encode-cfg"], "S -> a S | eps\n"),
+    "horn": (["encode-horn"], "girl(mary).\nlikes(X, ponies) :- girl(X).\n"),
+}
+
+
+@pytest.mark.parametrize("command, text", BOM_INPUTS.values(),
+                         ids=BOM_INPUTS.keys())
+def test_a_leading_byte_order_mark_is_not_read(files, command, text, capsys):
+    tmp_path, prog, _ = files
+    args = [prog if a == "PROGRAM" else a for a in command]
+    outputs = []
+    for bom in ("", "\ufeff"):
+        source = tmp_path / "source"
+        source.write_text(bom + text, encoding="utf-8")
+        assert main([*args, str(source)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    if command == ["expand"]:
+        assert outputs[1] == "A a\nX a\n"
 
 
 def test_check_bad_program(tmp_path, capsys):
@@ -268,3 +308,17 @@ def test_help_exits_zero(capsys):
 def test_unknown_flag_rejected(files):
     _, prog, _ = files
     assert main(["check", prog, "--bogus"]) == 1
+
+
+@pytest.mark.parametrize("args, code, stream, text", [
+    (["--help"], 0, "stdout", "usage: bracketc"),
+    (["expand", "missing.bc"], 1, "stderr", "error:"),
+], ids=["help", "missing-file"])
+def test_module_entry_point(tmp_path, args, code, stream, text):
+    # the `__main__` block, which no in-process test can run
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-m", "bracketc.cli", *args],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == code
+    assert text in getattr(done, stream)

@@ -1,7 +1,13 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bracketc import (BracketInCorpus, EmptyCorpus, Program, TokenizerOptions,
                       corpus_from_text, load_corpus, words)
+from oracles import corpus_reference
+
+SENTENCES = TokenizerOptions(one_statement_per_line=False)
 
 
 def test_punctuation_split_not_example():
@@ -23,9 +29,35 @@ def test_no_punctuation_split():
 
 def test_sentence_split():
     got = corpus_from_text("MARY LIKES PONIES. TOM DOES NOT!\nTHE END.",
-                           TokenizerOptions(one_statement_per_line=False))
+                           SENTENCES)
     assert words("MARY", "LIKES", "PONIES", ".") in got
     assert words("TOM", "DOES", "NOT", "!") in got
+
+
+@pytest.mark.parametrize("blank", ["\n \n", "\n\t\n", "\r\n\r\n"],
+                         ids=["space", "tab", "crlf"])
+def test_sentences_split_at_a_blank_line_that_holds_whitespace(blank):
+    got = corpus_from_text(f"MARY LIKES PONIES{blank}TOM DOES NOT", SENTENCES)
+    assert got == [words("MARY", "LIKES", "PONIES"), words("TOM", "DOES", "NOT")]
+
+
+# A whitespace-only line between two newlines: the one place where sentence
+# mode no longer reads text as the reference does.
+_WHITESPACE_LINE = re.compile(r"\n[^\S\n]+\n")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text("ab.!?,; \t\n\r\x0b\u2028\ufeff#", max_size=30),
+       st.builds(TokenizerOptions, st.booleans(), st.booleans(), st.booleans()))
+def test_corpus_from_text_matches_reference(text, opts):
+    def read(reader):
+        try:
+            return reader(text, opts)
+        except EmptyCorpus:
+            return EmptyCorpus
+
+    if opts.one_statement_per_line or not _WHITESPACE_LINE.search(text):
+        assert read(corpus_from_text) == read(corpus_reference)
 
 
 def test_duplicates_dropped():
@@ -36,6 +68,8 @@ def test_duplicates_dropped():
 def test_empty_corpus():
     with pytest.raises(EmptyCorpus):
         corpus_from_text("\n\n   \n")
+    with pytest.raises(EmptyCorpus):
+        corpus_from_text("\n\n   \n", SENTENCES)
 
 
 def test_bracket_rejected():
