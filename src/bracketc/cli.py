@@ -133,7 +133,7 @@ def _cmd_metrics(args: argparse.Namespace) -> None:
 
 
 def _cmd_encode(args: argparse.Namespace) -> None:
-    source = args.parse(read_text(args.source))
+    source = read_text(args.source, args.parse)
     _write(args.output, str(args.encode(source)))
 
 

@@ -12,6 +12,7 @@ not load-bearing.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
@@ -280,11 +281,24 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
     Starts from slot induction and from the verbatim greedy prefix (the
     near-100%-accuracy extreme); BudgetTooSmall if that prefix is empty.
 
-    The search owns two tables, dropped when it returns: every closure's
-    expansion table, since its programs are one statement apart and share
-    their expansions, and `neighbors`' mutation lists, since a beam member
-    kept for another iteration is mutated again.
+    The search's tables (see `_search`) are its own, dropped when it
+    returns.
     """
+    return _search(corpus, config, {}, {}, {})
+
+
+def _search(corpus: Sequence[Statement], config: SearchConfig,
+            table: ExpansionTable, scores: dict[Program, Candidate],
+            moves: dict[Program, list[Program]]) -> Candidate:
+    """`compress` with its tables given, which the search fills: `table`,
+    every closure's expansion table, since the programs are one statement
+    apart and share their expansions; `scores`, the `Candidate` of each
+    program scored within the budget; `moves`, `neighbors`' mutation lists,
+    since a beam member kept for another iteration is mutated again.
+
+    None of them depends on the budget, so `frontier_sweep` passes one set
+    to every budget.  A program in `scores` that is over this budget is
+    scored again, -inf and unclosed, and such a score is never stored."""
     corpus = list(dict.fromkeys(corpus))
     if not corpus:
         raise EmptyCorpus("corpus is empty")
@@ -295,12 +309,15 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
 
     c_set = frozenset(corpus)
     seen: set[Program] = set()
-    table: ExpansionTable = {}
-    moves: dict[Program, list[Program]] = {}
 
     def score(program: Program) -> Candidate:
         seen.add(program)
-        return evaluate_program(program, c_set, config, table=table)
+        cand = scores.get(program)
+        if cand is None or program_size(program) > config.budget_chars:
+            cand = evaluate_program(program, c_set, config, table=table)
+            if cand.report is not None:
+                scores[program] = cand
+        return cand
 
     starts = dict.fromkeys([greedy, induce_slots(corpus)])
     beam = heapq.nsmallest(config.beam_width, map(score, starts), key=_rank)
@@ -348,17 +365,23 @@ def frontier_sweep(corpus: Sequence[Statement], budgets: Sequence[int],
 
     Every budget is checked before the first search.  Budgets too small for
     any program are skipped (and logged by the CLI layer); each budget gets
-    an independent seed derived from config.seed.
+    an independent seed derived from config.seed, its own beam and its own
+    `seen` set.  The search tables of `compress` (expansions, candidates,
+    mutation lists) are shared by all the budgets and dropped on return.
     """
-    if not budgets or any(b < 1 for b in budgets):
+    for b in budgets:  # every type first, so that no str or None is compared
+        check_count("budgets", b, -math.inf)
+    if not budgets or min(budgets) < 1:
         raise ValueError("budgets must be non-empty and positive")
-    for b in budgets:
-        check_count("budgets", b, 1)
+    table: ExpansionTable = {}
+    scores: dict[Program, Candidate] = {}
+    moves: dict[Program, list[Program]] = {}
     points: list[FrontierPoint] = []
     for i, budget in enumerate(budgets):
         try:
-            cand = compress(corpus, replace(config, budget_chars=budget,
-                                            seed=config.seed + i))
+            cand = _search(corpus, replace(config, budget_chars=budget,
+                                           seed=config.seed + i),
+                           table, scores, moves)
         except BudgetTooSmall:
             continue
         points.append(FrontierPoint(budget, cand.report, "compress"))

@@ -50,4 +50,4 @@ def corpus_from_text(text: str,
 
 def load_corpus(path: str,
                 opts: TokenizerOptions = TokenizerOptions()) -> list[Statement]:
-    return corpus_from_text(read_text(path), opts)
+    return read_text(path, lambda text: corpus_from_text(text, opts))

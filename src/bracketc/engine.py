@@ -33,7 +33,7 @@ ExpansionTable = dict[Statement, dict[tuple[WordSeq, ...], Statement | None]]
 _ELEMENTS = attrgetter("elements")
 
 
-def check_count(name: str, value: object, least: int) -> None:
+def check_count(name: str, value: object, least: float) -> None:
     """Raise ValueError unless value is an int, not a bool, and >= least."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, not {value!r}")

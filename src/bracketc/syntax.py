@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, TypeVar, Union
 
-from .errors import EmptyStatement, UnbalancedBrackets
+from .errors import BCError, EmptyStatement, UnbalancedBrackets
 
 WORD_RE = re.compile(r"[^\s\[\]]+")
 #: What a program's canonical text puts between two statements.
@@ -20,6 +20,7 @@ STATEMENT_SEPARATOR = "\n"
 _TOKEN_RE = re.compile(rf"\[|\]|{WORD_RE.pattern}")
 
 Element = Union[str, "Bracket"]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -190,16 +191,22 @@ def parse_program(text: str) -> Program:
     return Program(map(parse_statement, lines(text)))
 
 
-def read_text(path: str) -> str:
-    """The UTF-8 text of the file at `path` without a leading byte-order mark;
-    ValueError naming the file and the offset of a byte that is not UTF-8."""
+def read_text(path: str, parse: Callable[[str], _T]) -> _T:
+    """`parse` of the UTF-8 text of the file at `path`, without a leading
+    byte-order mark.  Every error in the text names the file: a byte that
+    is not UTF-8 raises ValueError with its offset, and an error that
+    `parse` raises is raised again, of the same type, after `path: `."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read().removeprefix("\ufeff")
+            text = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: byte {exc.start} is not UTF-8 "
                          f"({exc.reason})") from None
+    try:
+        return parse(text)
+    except (BCError, ValueError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_program(path: str) -> Program:
-    return parse_program(read_text(path))
+    return read_text(path, parse_program)

@@ -1,10 +1,12 @@
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from bracketc import SearchConfig, cli, compress, load_corpus, parse_program
+from bracketc import (BracketInCorpus, SearchConfig, UnbalancedBrackets, cli,
+                      compress, load_corpus, load_program, parse_program)
 from bracketc.cli import main
 from unreached import PACKAGE
 
@@ -57,6 +59,32 @@ def test_metrics_names_the_file_that_is_not_utf8(files, capsys):
     assert main(["metrics", prog, str(corpus)]) == 1
     assert capsys.readouterr().err == \
         f"error: {corpus}: byte 17 is not UTF-8 (invalid continuation byte)\n"
+
+
+def test_metrics_names_the_file_that_does_not_parse(files, capsys):
+    tmp_path, prog, corpus = files
+    bad_program = tmp_path / "bad.bc"
+    bad_program.write_text("A ]\n", encoding="utf-8")
+    blank_corpus = tmp_path / "blank.txt"
+    blank_corpus.write_text("\n  \n", encoding="utf-8")
+    assert main(["metrics", str(bad_program), corpus]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {bad_program}: unexpected ']' in 'A ]'\n"
+    assert main(["metrics", prog, str(blank_corpus)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {blank_corpus}: no statements in corpus text\n"
+
+
+@pytest.mark.parametrize("load, text, error", [
+    (load_program, "A [B\n", UnbalancedBrackets),
+    (load_corpus, "A [B]\n", BracketInCorpus),
+])
+def test_a_load_error_keeps_its_type_and_names_the_file(tmp_path, load, text,
+                                                        error):
+    source = tmp_path / "source"
+    source.write_text(text, encoding="utf-8")
+    with pytest.raises(error, match=f"^{re.escape(str(source))}: "):
+        load(str(source))
 
 
 # Each kind of input file, with text whose first word a byte-order mark

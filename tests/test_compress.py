@@ -1,16 +1,18 @@
 import importlib
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bracketc import (BudgetTooSmall, EmptyCorpus, ExpansionLimits, Program,
-                      SearchConfig, closure, compress, evaluate,
-                      frontier_sweep, induce_slots, neighbors, parse_program,
-                      parse_statement, program_size, reference_points, words)
+from bracketc import (BudgetTooSmall, EmptyCorpus, ExpansionLimits,
+                      FrontierPoint, Program, SearchConfig, closure, compress,
+                      evaluate, frontier_sweep, induce_slots, neighbors,
+                      parse_program, parse_statement, program_size,
+                      reference_points, words)
 from bracketc.cli import main
 from bracketc.compress import evaluate_program, _greedy_prefix
 
@@ -404,19 +406,101 @@ def test_frontier_sweep_skips_tiny_budget(templated_corpus):
 
 
 def test_frontier_sweep_rejects_a_budget_below_one(templated_corpus):
-    with pytest.raises(ValueError, match="positive"):
-        frontier_sweep(templated_corpus, [60, 0], config(60))
+    for budgets in ([60, 0], [], [40, -3]):
+        with pytest.raises(ValueError,
+                           match="^budgets must be non-empty and positive$"):
+            frontier_sweep(templated_corpus, budgets, config(60))
 
 
-@pytest.mark.parametrize("bad", [True, 2.5])
+@pytest.mark.parametrize("bad", [True, 2.5, None, "40"])
 def test_frontier_sweep_checks_every_budget_before_it_searches(
         templated_corpus, monkeypatch, bad):
     calls = []
+
+    def searching(*args):
+        calls.append(args)
+        raise BudgetTooSmall("no search in this test")
+
     monkeypatch.setattr(importlib.import_module("bracketc.compress"),
-                        "compress", lambda *args: calls.append(args))
+                        "_search", searching)
     with pytest.raises(ValueError, match="budgets must be an int"):
         frontier_sweep(templated_corpus, [40, bad], config(40))
     assert calls == []
+
+
+def test_frontier_sweep_checks_every_type_before_any_value(templated_corpus):
+    for budgets in ([0, "40"], [-3, None]):
+        with pytest.raises(ValueError, match="budgets must be an int"):
+            frontier_sweep(templated_corpus, budgets, config(40))
+
+
+def _one_search_per_budget(corpus, budgets, cfg):
+    """The sweep's compressed points as independent `compress` calls."""
+    points = []
+    for i, budget in enumerate(budgets):
+        try:
+            cand = compress(corpus, replace(cfg, budget_chars=budget,
+                                            seed=cfg.seed + i))
+        except BudgetTooSmall:
+            continue
+        points.append(FrontierPoint(budget, cand.report, "compress"))
+    return points + reference_points(corpus)
+
+
+# Limits that truncate some closures of CORPUS programs, and the default.
+LIMITS = st.builds(ExpansionLimits, max_rounds=st.integers(1, 3),
+                   max_statements=st.integers(4, 40),
+                   max_tokens_per_statement=st.integers(2, 5)) \
+    | st.just(ExpansionLimits())
+
+
+@settings(max_examples=60, deadline=None)
+@given(CORPUS, st.lists(st.integers(1, 40), min_size=2, max_size=4),
+       st.booleans(), LIMITS, st.integers(0, 3))
+def test_frontier_sweep_equals_one_search_per_budget(corpus, budgets,
+                                                     descending, limits, seed):
+    # descending, a program scored under a larger budget is over a later,
+    # smaller one; the budget just below the smallest statement is skipped
+    if descending:
+        budgets.sort(reverse=True)
+    tiny = min(program_size(Program([s])) for s in corpus) - 1
+    if tiny >= 1:
+        budgets.insert(1, tiny)
+    cfg = config(1, seed=seed, max_iterations=3, beam_width=4, limits=limits)
+    assert frontier_sweep(corpus, budgets, cfg) == \
+        _one_search_per_budget(corpus, budgets, cfg)
+
+
+@pytest.mark.parametrize("shares", [(7, 3, 0, 5), (3, 0, 5, 7)],
+                         ids=["descending", "ascending"])
+def test_frontier_sweep_of_templated_corpus_equals_one_search_per_budget(
+        templated_corpus, shares):
+    # share 0 is budget 2, which fits no statement; the statement cap
+    # truncates closures the search makes and changes the points it finds
+    raw = program_size(Program(templated_corpus))
+    budgets = [max(2, raw * s // 10) for s in shares]
+    limits = ExpansionLimits(max_statements=12)
+    for cfg in (config(1), config(1, limits=limits)):
+        assert frontier_sweep(templated_corpus, budgets, cfg) == \
+            _one_search_per_budget(templated_corpus, budgets, cfg)
+
+
+def test_frontier_sweep_scores_each_program_once(templated_corpus,
+                                                 monkeypatch):
+    scored = Counter()
+
+    def counting(program, *args, **kwargs):
+        cand = evaluate_program(program, *args, **kwargs)
+        if cand.report is not None:
+            scored[program] += 1
+        return cand
+
+    monkeypatch.setattr(importlib.import_module("bracketc.compress"),
+                        "evaluate_program", counting)
+    raw = program_size(Program(templated_corpus))
+    frontier_sweep(templated_corpus, [raw * s // 10 for s in (3, 5, 7)],
+                   config(1))
+    assert scored and max(scored.values()) == 1
 
 
 def test_search_config_rejects_negative_iterations():
