@@ -18,7 +18,7 @@ from .encoders import cfg_to_bc, horn_to_bc, parse_cfg, parse_horn
 from .engine import ExpansionLimits, closure, sample
 from .errors import BCError
 from .metrics import CSV_HEADER, FrontierPoint, evaluate
-from .syntax import Program, Statement, load_program, program_size, read_text
+from .syntax import Statement, load_program, program_size, read_text
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
@@ -89,7 +89,7 @@ def _cmd_check(args: argparse.Namespace) -> None:
 
 
 def _program_first(statements: Sequence[Statement],
-                   program: Program) -> list[str]:
+                   program: set[Statement]) -> list[str]:
     """Program statements in their order, then derived ones sorted."""
     return [str(s) for s in statements if s in program] + \
         sorted(str(s) for s in statements if s not in program)
@@ -99,12 +99,14 @@ def _cmd_expand(args: argparse.Namespace) -> None:
     program = load_program(args.program)
     limits = _options(ExpansionLimits, args)
     result = closure(program, limits)
+    given = set(program)
     lines = _truncation_header(result, limits)
-    lines += _program_first(result.bracket_free, program)
+    lines += _program_first(result.bracket_free, given)
     if args.residual:
         lines.append("# residual")
-        lines += _program_first(result.residual, program)
-    print("\n".join(lines))
+        lines += _program_first(result.residual, given)
+    for line in lines:
+        print(line)
 
 
 def _cmd_sample(args: argparse.Namespace) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import random
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
@@ -41,7 +42,11 @@ class SearchConfig:
         check_count("budget_chars", self.budget_chars, 1)
         check_count("max_iterations", self.max_iterations, 0)
         check_count("beam_width", self.beam_width, 1)
-        if not 0 <= self.lambda_accuracy < float("inf"):
+        check_count("seed", self.seed, -math.inf)
+        lam = self.lambda_accuracy
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+            raise ValueError(f"lambda_accuracy must be a real number, not {lam!r}")
+        if not 0 <= lam < math.inf:
             raise ValueError("lambda_accuracy must be finite and >= 0")
 
 
@@ -172,6 +177,7 @@ def _mutations(program: Program, corpus: Sequence[Statement],
                table: ExpansionTable | None) -> list[Program]:
     """`neighbors` before the cap, sorted by text."""
     stmts = list(program)
+    present = set(stmts)
     cats = _categories(program)
     # every word of the corpus and of the program, inside brackets too
     taken = set(WORD_RE.findall(str(program)))
@@ -212,7 +218,7 @@ def _mutations(program: Program, corpus: Sequence[Statement],
             if middle is None:
                 continue
             variant = Statement((cat, *middle))
-            if variant not in program:
+            if variant not in present:
                 emit(stmts + [variant])
 
     # (e) factor a constant token into an existing category slot; the alias
@@ -220,15 +226,16 @@ def _mutations(program: Program, corpus: Sequence[Statement],
     for idx, st in enumerate(stmts):
         if st.bracket_free:
             continue
+        contents = ripe_contents(st)  # the rule ties brackets at any depth
         for pos, e in enumerate(st.elements):
             if not isinstance(e, str):
                 continue
             for cat in cats:
-                if Statement((cat, e)) not in program:
+                if Statement((cat, e)) not in present:
                     continue
                 bracket = Bracket((cat,))
                 extra: list[Statement] = []
-                if bracket in st.elements:
+                if (cat,) in contents:
                     statement, bracket = alias((cat,), alias_word)
                     extra.append(statement)
                 new_st = Statement(

@@ -139,15 +139,15 @@ class Program:
 
     Duplicates in the input are dropped silently; the count of dropped
     lines is kept for diagnostics.  Order is preserved because it fixes
-    the deterministic expansion order of the engine.  The canonical text
-    is built once, for `str`, `program_size` and the hash.
+    the deterministic expansion order of the engine.  The statements are
+    kept once, in a tuple that `in` scans, and the canonical text is built
+    once, for `str`, `program_size` and the hash.
     """
 
     def __init__(self, statements: Iterable[Statement]):
         given = list(statements)
-        self._index = dict.fromkeys(given)
-        self.statements: tuple[Statement, ...] = tuple(self._index)
-        self.duplicates_dropped = len(given) - len(self._index)
+        self.statements: tuple[Statement, ...] = tuple(dict.fromkeys(given))
+        self.duplicates_dropped = len(given) - len(self.statements)
         self._text = STATEMENT_SEPARATOR.join(str(s) for s in self.statements)
 
     def __iter__(self) -> Iterator[Statement]:
@@ -155,9 +155,6 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.statements)
-
-    def __contains__(self, s: Statement) -> bool:
-        return s in self._index
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Program) and self.statements == other.statements

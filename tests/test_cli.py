@@ -137,6 +137,13 @@ def test_expand_residual_and_order(files, capsys):
     assert lines[5] == "[GIRL] LIKES PONIES"
 
 
+def test_expand_of_an_empty_program_prints_nothing(tmp_path, capsys):
+    prog = tmp_path / "empty.bc"
+    prog.write_text("# no statements\n", encoding="utf-8")
+    assert main(["expand", str(prog)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_expand_reproducible(files, capsys):
     _, prog, _ = files
     main(["expand", prog])

@@ -141,6 +141,20 @@ def test_neighbors_alias_avoids_words_inside_brackets():
     assert report.completeness == 1
 
 
+def test_neighbors_alias_a_category_that_a_nested_bracket_holds():
+    # [CAT0] inside [[CAT0] Y] is ripe, so the same-content rule would tie
+    # a second [CAT0] to it: factoring k into the slot needs an alias too
+    program = parse_program(
+        "CAT0 a\nCAT0 b\na Y z1\nb Y z2\nX [[CAT0] Y] k\nCAT0 k")
+    corpus = [words("X", z, w) for z in ("z1", "z2") for w in "abk"]
+    cfg = config(300)
+    out = {str(p): p for p in neighbors(program, corpus, cfg, random.Random(0))}
+    head = "CAT0 a\nCAT0 b\na Y z1\nb Y z2\n"
+    assert head + "X [[CAT0] Y] [CAT0]\nCAT0 k" not in out
+    factored = out[head + "X [[CAT0] Y] [CAT1]\nCAT0 k\nCAT1 [CAT0]"]
+    assert set(corpus) <= set(closure(factored, cfg.limits).bracket_free)
+
+
 def test_neighbors_cap_samples_a_sorted_subset(monkeypatch):
     # a verbatim program of 320 sentences: its 320 deletions are its only
     # neighbours, over the cap of 300
@@ -509,17 +523,19 @@ def test_search_config_rejects_negative_iterations():
             SearchConfig(budget_chars=10, max_iterations=bad)
 
 
-@pytest.mark.parametrize("field", ["budget_chars", "beam_width"])
+@pytest.mark.parametrize("field", ["budget_chars", "beam_width", "seed"])
 def test_search_config_rejects_zero(field):
-    for bad in (0, 2.5, True):
+    zero = () if field == "seed" else (0,)  # any int is a seed
+    for bad in (*zero, 2.5, True, None, "1"):
         kw = {"budget_chars": 10, field: bad}
         with pytest.raises(ValueError, match=field):
             SearchConfig(**kw)
 
 
-@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), "0.5", True,
+                                 None])
 def test_search_config_rejects_non_finite_lambda(lam):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lambda_accuracy"):
         SearchConfig(budget_chars=10, lambda_accuracy=lam)
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -188,3 +190,23 @@ def test_program_properties(p, s, rng):
     for probe in (s, *p):
         assert (probe in p) == any(probe == t for t in p.statements)
     assert program_size(p) == len(str(p))
+
+
+def test_a_program_holds_its_statements_once():
+    """Bytes kept per program, over programs that share their statements,
+    stay near what its tuple and its canonical text take alone: a second
+    copy of the statements, such as a dict beside the tuple, is over."""
+    shared = [words(f"W{i}", "X") for i in range(40)]
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        programs = [Program(shared[i % 40:] + shared[:i % 40])
+                    for i in range(2_000)]
+        per_program = (tracemalloc.get_traced_memory()[0] - before) / 2_000
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    alone = sys.getsizeof(programs[0].statements) + sys.getsizeof(str(programs[0]))
+    assert per_program <= 1.5 * alone
