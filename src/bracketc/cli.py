@@ -18,7 +18,8 @@ from .encoders import cfg_to_bc, horn_to_bc, parse_cfg, parse_horn
 from .engine import ExpansionLimits, closure, sample
 from .errors import BCError
 from .metrics import CSV_HEADER, FrontierPoint, evaluate
-from .syntax import Statement, load_program, program_size, read_text
+from .syntax import (Program, Statement, lines, load_program, parse_statement,
+                     program_size, read_text)
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
@@ -81,10 +82,12 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> None:
-    program = load_program(args.program)
+    statements = read_text(args.program,
+                           lambda text: [*map(parse_statement, lines(text))])
+    program = Program(statements)
     print(f"{len(program)} statements")
-    if program.duplicates_dropped:
-        print(f"# {program.duplicates_dropped} duplicate lines dropped",
+    if len(statements) > len(program):
+        print(f"# {len(statements) - len(program)} duplicate lines dropped",
               file=sys.stderr)
 
 
@@ -100,12 +103,12 @@ def _cmd_expand(args: argparse.Namespace) -> None:
     limits = _options(ExpansionLimits, args)
     result = closure(program, limits)
     given = set(program)
-    lines = _truncation_header(result, limits)
-    lines += _program_first(result.bracket_free, given)
+    out = _truncation_header(result, limits)
+    out += _program_first(result.bracket_free, given)
     if args.residual:
-        lines.append("# residual")
-        lines += _program_first(result.residual, given)
-    for line in lines:
+        out.append("# residual")
+        out += _program_first(result.residual, given)
+    for line in out:
         print(line)
 
 

@@ -141,10 +141,8 @@ def _rename(elements: Sequence[Element], old: str, new: str) -> tuple[Element, .
     for e in elements:
         if isinstance(e, Bracket):
             out.append(Bracket(_rename(e.elements, old, new)))
-        elif e == old:
-            out.append(new)
         else:
-            out.append(e)
+            out.append(new if e == old else e)
     return tuple(out)
 
 

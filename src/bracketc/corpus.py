@@ -23,6 +23,11 @@ class TokenizerOptions:
     fold_case: bool = False
     one_statement_per_line: bool = True
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, not {value!r}")
+
 
 def corpus_from_text(text: str,
                      opts: TokenizerOptions = TokenizerOptions()) -> list[Statement]:

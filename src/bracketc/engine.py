@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from itertools import product
+from itertools import chain, product
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -302,7 +302,7 @@ def closure(p: Program, limits: ExpansionLimits, *,
     cap = TokenCap(limit)
     # The longest program or pool statement, raised once per round: over
     # the cap only when a program statement is, and as long as any ending.
-    longest = max(map(Statement.token_count, p), default=0)
+    longest = max(map(len, map(_ELEMENTS, p)), default=0)
     pool = [st for st in p if st.bracket_free]
     residual = [(st, ripe_contents(st)) for st in p if not st.bracket_free]
     added: list[Statement] = []  # bracket-free, kept by the last round
@@ -314,7 +314,7 @@ def closure(p: Program, limits: ExpansionLimits, *,
     def at_cap(out: Statement) -> bool:
         if out in known:
             return False
-        if out.token_count() > limit:
+        if len(out.elements) > limit:
             flags.tokens = True
             return False
         if len(known) >= limits.max_statements:
@@ -344,8 +344,7 @@ def closure(p: Program, limits: ExpansionLimits, *,
         rounds_used += 1
         added = [st for st in new if st.bracket_free]
         pool += added
-        longest = max(longest, max(map(len, map(_ELEMENTS, added)),
-                                   default=0))
+        longest = max(chain([longest], map(len, map(_ELEMENTS, added))))
         old = len(residual)
         residual += [(st, ripe_contents(st)) for st in new
                      if not st.bracket_free]
@@ -365,6 +364,7 @@ def sample(p: Program, limits: ExpansionLimits, seed: int,
     Draws that fail to ground within `max_rounds` steps are skipped; the
     attempt budget caps the total work so degenerate programs terminate.
     """
+    check_count("seed", seed, float("-inf"))
     check_count("count", count, 0)
     bracketed = [st for st in p if not st.bracket_free]
     if not bracketed:
@@ -386,7 +386,7 @@ def sample(p: Program, limits: ExpansionLimits, seed: int,
             if not elements:
                 break
             st = Statement(elements)
-            if st.token_count() > limits.max_tokens_per_statement:
+            if len(st.elements) > limits.max_tokens_per_statement:
                 break
             if st.bracket_free:
                 results.append(st)

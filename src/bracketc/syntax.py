@@ -41,10 +41,10 @@ class Bracket:
 
 @dataclass(frozen=True)
 class Statement:
-    """One line of a BC program or corpus: at least one element, since an
-    empty line neither serialises nor parses back.  Words are unchecked here:
-    the engine builds every statement it derives, and a check per word made
-    closures up to 2x slower; `parse_statement` and `words` check text."""
+    """One line of a BC program or corpus: `len(elements)` tokens, a bracket
+    counting 1, and at least one, as an empty line neither serialises nor
+    parses back.  Words are unchecked (a check per word made closures up to
+    2x slower); `parse_statement` and `words` check text."""
 
     elements: tuple[Element, ...]
     #: No element is a bracket, so `elements` are the words.
@@ -61,10 +61,6 @@ class Statement:
         if not self.bracket_free:
             raise ValueError(f"statement has brackets: {self}")
         return self.elements  # type: ignore[return-value]
-
-    def token_count(self) -> int:
-        """Top-level element count: each word and each bracket counts 1."""
-        return len(self.elements)
 
     def __str__(self) -> str:
         return " ".join(str(e) for e in self.elements)
@@ -137,17 +133,14 @@ def serialize_statement(s: Statement) -> str:
 class Program:
     """An ordered, duplicate-free sequence of statements.
 
-    Duplicates in the input are dropped silently; the count of dropped
-    lines is kept for diagnostics.  Order is preserved because it fixes
-    the deterministic expansion order of the engine.  The statements are
+    Duplicates in the input are dropped uncounted; order is kept, since it
+    fixes the engine's deterministic expansion order.  The statements are
     kept once, in a tuple that `in` scans, and the canonical text is built
     once, for `str`, `program_size` and the hash.
     """
 
     def __init__(self, statements: Iterable[Statement]):
-        given = list(statements)
-        self.statements: tuple[Statement, ...] = tuple(dict.fromkeys(given))
-        self.duplicates_dropped = len(given) - len(self.statements)
+        self.statements: tuple[Statement, ...] = tuple(dict.fromkeys(statements))
         self._text = STATEMENT_SEPARATOR.join(str(s) for s in self.statements)
 
     def __iter__(self) -> Iterator[Statement]:

@@ -52,7 +52,7 @@ def closure_reference(p: Program, limits: ExpansionLimits) -> ClosureResult:
                 out = Statement(grounded)
                 if out in pool or out in residual or out in queued:
                     continue
-                if out.token_count() > limits.max_tokens_per_statement:
+                if len(out.elements) > limits.max_tokens_per_statement:
                     flags.tokens = True
                     continue
                 if len(pool) + len(residual) + len(queued) >= limits.max_statements:
@@ -122,7 +122,7 @@ def sample_reference(p, limits, seed, count):
             if not elements:
                 break
             st = Statement(elements)
-            if st.token_count() > limits.max_tokens_per_statement:
+            if len(st.elements) > limits.max_tokens_per_statement:
                 break
             if st.bracket_free:
                 results.append(st)

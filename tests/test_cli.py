@@ -38,12 +38,23 @@ def test_check_reports_duplicate_lines(tmp_path, capsys):
     assert "# 1 duplicate lines dropped" in err
 
 
+def test_check_counts_duplicates_but_not_blank_or_comment_lines(tmp_path,
+                                                                  capsys):
+    prog = tmp_path / "dupes.bc"
+    prog.write_text("# girls\nGIRL MARY\n\nGIRL MARY\n[GIRL] LIKES PONIES\n"
+                    "  GIRL   MARY \n# girls\n[GIRL] LIKES PONIES\n",
+                    encoding="utf-8")
+    assert main(["check", str(prog)]) == 0
+    assert capsys.readouterr() == ("2 statements\n",
+                                   "# 3 duplicate lines dropped\n")
+
+
 def test_unexpected_exception_is_an_internal_error(files, monkeypatch, capsys):
     def fail(path):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "load_program", fail)
-    assert main(["check", files[1]]) == 2
+    assert main(["expand", files[1]]) == 2
     assert "internal error: boom" in capsys.readouterr().err
 
 

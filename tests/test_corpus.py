@@ -15,6 +15,14 @@ def test_punctuation_split_not_example():
     assert got == [words("TOM", "IS", "A", "GIRL", ",", "NOT", "!")]
 
 
+@pytest.mark.parametrize("field", ["split_punctuation", "fold_case",
+                                   "one_statement_per_line"])
+def test_tokenizer_options_reject_a_field_that_is_not_a_bool(field):
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match=field):
+            TokenizerOptions(**{field: bad})
+
+
 def test_fold_case():
     got = corpus_from_text("Mary was wearing necklace",
                            TokenizerOptions(fold_case=True))
@@ -60,7 +68,7 @@ def test_corpus_from_text_matches_reference(text, opts):
         assert read(corpus_from_text) == read(corpus_reference)
 
 
-def test_duplicates_dropped():
+def test_duplicate_sentences_are_dropped():
     got = corpus_from_text("A B\nA B\nC D")
     assert got == [words("A", "B"), words("C", "D")]
 

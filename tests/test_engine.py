@@ -179,10 +179,10 @@ def test_expand_with_a_token_cap_builds_exactly_the_expansions_that_fit(
         want = expand_statement(s, (), endings=endings, **kw)
         cap = TokenCap(limit)
         got = expand_statement(s, (), endings=endings, tokens=cap, **kw)
-        assert got == [out for out in want if out.token_count() <= limit]
+        assert got == [out for out in want if len(out.elements) <= limit]
         # a cut is reported exactly when the full product has an expansion
         # over the limit, whether or not it takes a fresh ending
-        assert cap.cut == any(out.token_count() > limit for out in full)
+        assert cap.cut == any(len(out.elements) > limit for out in full)
 
 
 def test_expand_with_a_token_cap_reports_a_cut_of_only_all_old_combinations():
@@ -387,7 +387,7 @@ def test_closure_builds_no_expansion_over_the_token_cap(expansions, program,
     r = closure(program, limits)
     built = [out for result in expansions for out in result]
     assert r.truncated.tokens and not r.truncated.statements
-    assert built and max(out.token_count() for out in built) <= cap
+    assert built and max(len(out.elements) for out in built) <= cap
     assert set(built) <= set(r.bracket_free) | set(r.residual)
 
 
@@ -547,6 +547,12 @@ def test_sample_rejects_negative_count(girls_ponies):
     for bad in (-3, 2.5, True):
         with pytest.raises(ValueError, match="count"):
             sample(girls_ponies, LIMITS, seed=0, count=bad)
+
+
+def test_sample_rejects_a_seed_that_is_not_an_int(girls_ponies):
+    for bad in (None, 1.5, True):
+        with pytest.raises(ValueError, match="seed"):
+            sample(girls_ponies, LIMITS, seed=bad, count=1)
 
 
 def test_sample_golden(sibling_horn, addition_program):
