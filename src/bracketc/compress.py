@@ -48,6 +48,9 @@ class SearchConfig:
             raise ValueError(f"lambda_accuracy must be a real number, not {lam!r}")
         if not 0 <= lam < math.inf:
             raise ValueError("lambda_accuracy must be finite and >= 0")
+        if not isinstance(self.limits, ExpansionLimits):
+            raise ValueError(f"limits must be an ExpansionLimits, not "
+                             f"{self.limits!r}")
 
 
 @dataclass(frozen=True)
@@ -174,17 +177,25 @@ def _mutations(program: Program, corpus: Sequence[Statement],
                config: SearchConfig,
                table: ExpansionTable | None) -> list[Program]:
     """`neighbors` before the cap, sorted by text."""
-    stmts = list(program)
+    stmts, text = program.statements, str(program)
+    texts = [str(s) for s in stmts]
     present = set(stmts)
     cats = _categories(program)
     # every word of the corpus and of the program, inside brackets too
-    taken = set(WORD_RE.findall(str(program)))
+    taken = set(WORD_RE.findall(text))
     taken.update(w for s in corpus for w in s.words)
     alias_word = fresh_word("CAT", taken)
     results: dict[Program, None] = {}
 
     def emit(statements: Iterable[Statement]) -> None:
         results[Program(statements)] = None
+
+    # A deletion, and an addition of a statement that is not in the program,
+    # are duplicate-free: each is built from its parent's statement texts.
+    head = text + STATEMENT_SEPARATOR if stmts else ""
+
+    def append(new: Statement) -> None:
+        results[Program._of(stmts + (new,), head + str(new))] = None
 
     # (a) merge two categories
     for w1, w2 in combinations(cats, 2):
@@ -193,15 +204,19 @@ def _mutations(program: Program, corpus: Sequence[Statement],
     # (b) delete one statement
     if len(stmts) > 1:
         for i in range(len(stmts)):
-            emit(stmts[:i] + stmts[i + 1:])
+            rest = texts[:i] + texts[i + 1:]
+            results[Program._of(stmts[:i] + stmts[i + 1:],
+                                STATEMENT_SEPARATOR.join(rest))] = None
 
-    # (c) add one uncovered corpus sentence verbatim
+    # (c) add one uncovered corpus sentence verbatim; `covered` holds every
+    # bracket-free statement of the program, so the sentence is new to it
     covered = set(closure(program, config.limits, table=table).bracket_free)
     for sent in corpus:
         if sent not in covered:
-            emit(stmts + [sent])
+            append(sent)
 
-    # (d) widen a category with a corpus-aligned variant
+    # (d) widen a category with a corpus-aligned variant that `present`,
+    # the program's statements, does not hold
     for st in stmts:
         slots = [(i, e) for i, e in enumerate(st.elements)
                  if isinstance(e, Bracket)]
@@ -217,7 +232,7 @@ def _mutations(program: Program, corpus: Sequence[Statement],
                 continue
             variant = Statement((cat, *middle))
             if variant not in present:
-                emit(stmts + [variant])
+                append(variant)
 
     # (e) factor a constant token into an existing category slot; the alias
     # device keeps a repeated category independent under the same-content rule
@@ -232,13 +247,13 @@ def _mutations(program: Program, corpus: Sequence[Statement],
                 if Statement((cat, e)) not in present:
                     continue
                 bracket = Bracket((cat,))
-                extra: list[Statement] = []
+                extra: tuple[Statement, ...] = ()
                 if (cat,) in contents:
                     statement, bracket = alias((cat,), alias_word)
-                    extra.append(statement)
+                    extra = (statement,)
                 new_st = Statement(
                     st.elements[:pos] + (bracket,) + st.elements[pos + 1:])
-                emit(stmts[:idx] + [new_st] + stmts[idx + 1:] + extra)
+                emit(stmts[:idx] + (new_st,) + stmts[idx + 1:] + extra)
 
     return sorted(results, key=str)
 

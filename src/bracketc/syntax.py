@@ -62,6 +62,10 @@ class Statement:
             raise ValueError(f"statement has brackets: {self}")
         return self.elements  # type: ignore[return-value]
 
+    def __hash__(self) -> int:
+        # the generated hash builds the tuple `(self.elements,)` per call
+        return hash(self.elements)
+
     def __str__(self) -> str:
         return " ".join(str(e) for e in self.elements)
 
@@ -136,12 +140,24 @@ class Program:
     Duplicates in the input are dropped uncounted; order is kept, since it
     fixes the engine's deterministic expansion order.  The statements are
     kept once, in a tuple that `in` scans, and the canonical text is built
-    once, for `str`, `program_size` and the hash.
+    once, for `str`, `program_size` and the hash.  A search neighbour that
+    deletes or appends one statement is built by `_of`, its text joined
+    from its parent's statement texts, so no other statement is turned into
+    text again.
     """
 
     def __init__(self, statements: Iterable[Statement]):
         self.statements: tuple[Statement, ...] = tuple(dict.fromkeys(statements))
         self._text = STATEMENT_SEPARATOR.join(str(s) for s in self.statements)
+
+    @classmethod
+    def _of(cls, statements: tuple[Statement, ...], text: str) -> Program:
+        """The program of the duplicate-free tuple `statements`, whose
+        canonical text is `text`; neither is checked."""
+        program = cls.__new__(cls)
+        program.statements = statements
+        program._text = text
+        return program
 
     def __iter__(self) -> Iterator[Statement]:
         return iter(self.statements)

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bracketc import (BudgetTooSmall, EmptyCorpus, ExpansionLimits,
-                      FrontierPoint, Program, SearchConfig, closure, compress,
-                      evaluate, frontier_sweep, induce_slots, neighbors,
-                      parse_program, parse_statement, program_size,
+                      FrontierPoint, Program, SearchConfig, Statement, closure,
+                      compress, evaluate, frontier_sweep, induce_slots,
+                      neighbors, parse_program, parse_statement, program_size,
                       reference_points, words)
 from bracketc.cli import main
 from bracketc.compress import evaluate_program, _greedy_prefix
+from bracketc.syntax import STATEMENT_SEPARATOR
 
 import oracles
 from oracles import compress_reference
@@ -193,6 +194,46 @@ def test_induced_and_neighbour_programs_round_trip(corpus):
     cfg = config(40)
     for p in neighbors(program, corpus, cfg, random.Random(0)):
         assert parse_program(str(p)) == p
+
+
+@settings(max_examples=50, deadline=None)
+@given(CORPUS, st.integers(1, 40))
+def test_neighbours_are_duplicate_free_with_their_canonical_text(corpus,
+                                                                  budget):
+    cfg = config(40)
+    starts = [induce_slots(corpus), _greedy_prefix(corpus, budget)]
+    for start in starts:
+        for p in neighbors(start, corpus, cfg, random.Random(0)):
+            for q in neighbors(p, corpus, cfg, random.Random(0)):
+                assert q.statements == tuple(dict.fromkeys(q.statements))
+                assert str(q) == STATEMENT_SEPARATOR.join(map(str, q.statements))
+                rebuilt = Program(q.statements)
+                assert q == rebuilt and hash(q) == hash(rebuilt)
+
+
+def test_neighbours_of_the_empty_program_add_one_sentence_each():
+    corpus = [words("A", "B"), words("C")]
+    out = neighbors(Program([]), corpus, config(40), random.Random(0))
+    assert out == [Program([s]) for s in corpus]
+    assert [str(p) for p in out] == ["A B", "C"]
+
+
+def test_neighbours_print_each_statement_once(monkeypatch):
+    # bracket-free, so no category: moves (a), (d) and (e) emit nothing, and
+    # each deletion and addition is joined from texts printed once per call
+    corpus = [words(f"W{i}", "X") for i in range(40)]
+    program = Program(corpus[:25])
+    printed = []
+    show = Statement.__str__
+
+    def counted(st):
+        printed.append(st)
+        return show(st)
+
+    monkeypatch.setattr(Statement, "__str__", counted)
+    out = neighbors(program, corpus, config(10_000), random.Random(0))
+    assert len(out) == 25 + 15
+    assert len(printed) <= len(program) + len(corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +578,12 @@ def test_search_config_rejects_zero(field):
 def test_search_config_rejects_non_finite_lambda(lam):
     with pytest.raises(ValueError, match="lambda_accuracy"):
         SearchConfig(budget_chars=10, lambda_accuracy=lam)
+
+
+@pytest.mark.parametrize("limits", [None, {"max_statements": 10}])
+def test_search_config_rejects_limits_that_are_not_expansion_limits(limits):
+    with pytest.raises(ValueError, match="limits"):
+        SearchConfig(budget_chars=10, limits=limits)
 
 
 def test_frontier_cli_reports_empty_budgets(tmp_path, capsys):

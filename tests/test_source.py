@@ -22,7 +22,7 @@ def test_package_has_no_assert_statement():
 
 def test_package_parses_at_the_python_floor():
     """Each module parses with the grammar of `requires-python`'s floor, a
-    version that no CI job runs."""
+    version on which no CI job runs the tests."""
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     found = re.search(r'^requires-python = ">=3\.(\d+)"$', text, re.M)
     assert found

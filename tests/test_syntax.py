@@ -5,9 +5,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from bracketc import (Bracket, EmptyStatement, Program, Statement,
-                      UnbalancedBrackets, parse_program, parse_statement,
-                      program_size, serialize_statement, words)
+from bracketc import (Bracket, EmptyStatement, ExpansionLimits, Program,
+                      Statement, UnbalancedBrackets, closure, parse_program,
+                      parse_statement, program_size, serialize_statement,
+                      words)
 from bracketc.syntax import alias, fresh_word
 
 from strategies import PROGRAM, STATEMENT
@@ -96,6 +97,19 @@ def test_parse_serialize_identity_random():
     for _ in range(200):
         s = _random_statement(rng)
         assert parse_statement(serialize_statement(s)) == s
+
+
+def test_equal_statements_hash_equal_however_built():
+    expanded = closure(parse_program("N A\n[N] B"), ExpansionLimits())
+    built = (parse_statement("A B"), words("A", "B"),
+             expanded.bracket_free[-1])
+    assert all(s == built[0] for s in built)
+    assert len({hash(s) for s in built}) == 1
+    rng = random.Random(5)
+    statements = [_random_statement(rng) for _ in range(1_000)]
+    distinct = set(statements)
+    assert len(distinct) < 1_000  # some were drawn twice
+    assert len(distinct) == len({s.elements for s in statements})
 
 
 def test_program_size():
