@@ -17,12 +17,12 @@ import numbers
 import random
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .engine import (ExpansionLimits, ExpansionTable, check_count, closure,
-                     ripe_contents)
+from .engine import (ExpansionLimits, ExpansionTable, _Support, check_count,
+                     closure, ripe_contents)
 from .errors import BudgetTooSmall, EmptyCorpus
-from .metrics import FrontierPoint, MetricsReport, evaluate
+from .metrics import FrontierPoint, MetricsReport, _report, evaluate
 from .syntax import (STATEMENT_SEPARATOR, WORD_RE, Bracket, Element, Program,
                      Statement, alias, fresh_word, program_size)
 
@@ -269,11 +269,65 @@ def evaluate_program(program: Program, corpus: Iterable[Statement],
     `table` is the closure's expansion table (see `engine.closure`)."""
     size = program_size(program)
     if size > config.budget_chars:
-        return Candidate(program, None, float("-inf"))
+        return _candidate(program, None, config)
     result = closure(program, config.limits, table=table)
-    report = evaluate(result.bracket_free, corpus, size, result.truncated.any)
+    return _candidate(program, evaluate(result.bracket_free, corpus, size,
+                                        result.truncated.any), config)
+
+
+def _candidate(program: Program, report: MetricsReport | None,
+               config: SearchConfig) -> Candidate:
+    """The one place a `Candidate` is built: its objective is completeness
+    plus lambda times accuracy, and -inf without a report."""
+    if report is None:
+        return Candidate(program, None, float("-inf"))
     return Candidate(program, report, float(report.completeness)
                      + config.lambda_accuracy * float(report.accuracy))
+
+
+def _deleted(parent: Program, child: Program) -> Statement | None:
+    """The statement of `parent` whose deletion leaves `child`, or None.
+    A deletion keeps its parent's statement objects, so the first one that
+    is not the parent's is where the deleted one was."""
+    a, b = parent.statements, child.statements
+    if len(b) != len(a) - 1:
+        return None
+    i = next((k for k, (x, y) in enumerate(zip(a, b)) if x is not y), len(b))
+    return a[i] if a[i + 1:] == b[i:] else None
+
+
+class _Deletions:
+    """Reports of the neighbours of one beam member, `parent`, that delete
+    one of its bracket-free statements, read from the parent's `_Support`
+    instead of a closure of each: |M| falls by the bracket-free statements
+    the deletion loses, and |M ∩ C| by those of them in the corpus.  The
+    support is built for the first such neighbour and dropped with this
+    object, so one is alive while one member's neighbours are scored."""
+
+    def __init__(self, parent: Program, limits: ExpansionLimits,
+                 table: ExpansionTable, corpus: set[tuple[Element, ...]]
+                 ) -> None:
+        self.parent, self.limits, self.table = parent, limits, table
+        self.corpus = corpus  # the elements of the corpus statements
+        self.support: _Support | None = None
+        self.counts = 0, 0  # the parent's |M ∩ C| and |M|, with the support
+
+    def report(self, child: Program, size: int) -> MetricsReport | None:
+        """`child`'s report, or None unless it is such a deletion and the
+        support scores it (see `_Support.deleted`)."""
+        s = _deleted(self.parent, child)
+        if s is None or not s.bracket_free:
+            return None
+        if self.support is None:
+            self.support = _Support(self.parent, self.limits, self.table)
+            free = self.support.free
+            self.counts = len(free & self.corpus), len(free)
+        lost = self.support.deleted(s)
+        if lost is None:
+            return None
+        inter, m_count = self.counts
+        return _report(inter - len(lost & self.corpus), m_count - len(lost),
+                       len(self.corpus), size, False)
 
 
 def _greedy_prefix(corpus: Sequence[Statement], budget: int) -> Program:
@@ -318,7 +372,9 @@ def _search(corpus: Sequence[Statement], config: SearchConfig,
 
     None of them depends on the budget, so `frontier_sweep` passes one set
     to every budget.  A program in `scores` that is over this budget is
-    scored again, -inf and unclosed, and such a score is never stored."""
+    scored again, -inf and unclosed, and such a score is never stored.  A
+    neighbour that deletes a bracket-free statement of its beam member is
+    scored from the member's derivations where `_Deletions` can."""
     corpus = list(dict.fromkeys(corpus))
     if not corpus:
         raise EmptyCorpus("corpus is empty")
@@ -328,16 +384,31 @@ def _search(corpus: Sequence[Statement], config: SearchConfig,
             f"budget {config.budget_chars} fits no single corpus statement")
 
     c_set = frozenset(corpus)
+    c_elements = {st.elements for st in c_set}
     seen: set[Program] = set()
 
-    def score(program: Program) -> Candidate:
+    def score(program: Program,
+              deletions: _Deletions | None = None) -> Candidate:
         seen.add(program)
+        size = program_size(program)
+        if size > config.budget_chars:
+            return _candidate(program, None, config)
         cand = scores.get(program)
-        if cand is None or program_size(program) > config.budget_chars:
-            cand = evaluate_program(program, c_set, config, table=table)
-            if cand.report is not None:
-                scores[program] = cand
+        if cand is None:
+            report = (None if deletions is None
+                      else deletions.report(program, size))
+            cand = (evaluate_program(program, c_set, config, table=table)
+                    if report is None else _candidate(program, report, config))
+            scores[program] = cand
         return cand
+
+    def scored(parent: Program) -> Iterator[Candidate]:
+        """`parent`'s unseen neighbours, scored."""
+        deletions = _Deletions(parent, config.limits, table, c_elements)
+        for prog in neighbors(parent, corpus, config, rng, moves=moves,
+                              table=table):
+            if prog not in seen:
+                yield score(prog, deletions)
 
     starts = dict.fromkeys([greedy, induce_slots(corpus)])
     beam = heapq.nsmallest(config.beam_width, map(score, starts), key=_rank)
@@ -345,10 +416,7 @@ def _search(corpus: Sequence[Statement], config: SearchConfig,
     rng = random.Random(config.seed)
     for _ in range(config.max_iterations):
         # the new beam keeps the old one's best, so beam[0] is the best yet
-        produced = (score(prog) for cand in beam
-                    for prog in neighbors(cand.program, corpus, config, rng,
-                                          moves=moves, table=table)
-                    if prog not in seen)
+        produced = chain.from_iterable(scored(cand.program) for cand in beam)
         new_beam = heapq.nsmallest(config.beam_width, chain(beam, produced),
                                    key=_rank)
         if new_beam == beam:

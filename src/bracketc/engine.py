@@ -30,6 +30,7 @@ from .syntax import Bracket, Element, Program, Statement
 WordSeq = tuple[str, ...]
 #: Each statement's expansions by combination (see `expand_statement`).
 ExpansionTable = dict[Statement, dict[tuple[WordSeq, ...], Statement | None]]
+_Key = tuple[Element, ...]  # a statement, by its elements
 _ELEMENTS = attrgetter("elements")
 
 
@@ -354,6 +355,94 @@ def closure(p: Program, limits: ExpansionLimits, *,
     flags.tokens |= cap.cut
     return ClosureResult(tuple(pool), tuple(st for st, _ in residual), flags,
                          rounds_used)
+
+
+class _Support:
+    """What each statement of a program's closure is derived from, so that
+    the closure of the program less one bracket-free statement is found by
+    delete and rederive (DRed: Gupta, Mumick & Subrahmanian 1993) without
+    closing it again.
+
+    A derivation is one residual statement and one combination of its
+    classes' endings in the final pool: its inputs are the residual and, per
+    class, the pool statement `content + ending`; its output is what `table`
+    holds for the combination (one that left nothing is no derivation).
+    Statements are keyed by their elements.  A closure that is not truncated
+    expanded every combination over its final pool, so each is in `table`,
+    and one that is not raises KeyError.  None is recorded, and `deleted`
+    always falls back, for a truncated closure, and for a program of more
+    than `max_statements` statements: its closure derives nothing new, but
+    its child may have to derive again what the program held, and reach
+    the cap.
+    """
+
+    def __init__(self, program: Program, limits: ExpansionLimits,
+                 table: ExpansionTable) -> None:
+        result = closure(program, limits, table=table)
+        self.limits, self.rounds_used = limits, result.rounds_used
+        #: The elements of the closure's bracket-free statements.
+        self.free = set(map(_ELEMENTS, result.bracket_free))
+        self.program = set(map(_ELEMENTS, program))
+        # each output's derivations, as their inputs; each input's outputs
+        self.derivations: dict[_Key, list[tuple[_Key, ...]]] = {}
+        self.uses: dict[_Key, list[_Key]] = {}
+        self.exact = not (result.truncated.any
+                          or len(program) > limits.max_statements)
+        if not self.exact:
+            return
+        index: dict[WordSeq, list[WordSeq]] = {}
+        for r in result.residual:
+            cs = ripe_contents(r)
+            built = table[r]
+            for combo in product(*_endings(cs, result.bracket_free,
+                                           index).values()):
+                out = built[combo]
+                if out is None:
+                    continue
+                inputs = (r.elements, *map(tuple.__add__, cs, combo))
+                self.derivations.setdefault(out.elements, []).append(inputs)
+                for key in inputs:
+                    self.uses.setdefault(key, []).append(out.elements)
+
+    def deleted(self, s: Statement) -> set[_Key] | None:
+        """The elements of the bracket-free statements that the closure of
+        the program less its bracket-free statement `s` lacks, or None where
+        a full closure must decide: the closure was truncated, the program
+        is over the statement cap, `s` is over the token cap (derived again,
+        it would be cut there), or a statement derived again may lengthen a
+        derivation to `max_rounds`.
+
+        Over-delete what `s` reaches through derivations, put back the
+        program's statements other than `s`, then, until nothing changes,
+        each statement that has a derivation with no input deleted.  Each
+        statement put back that way may be derived one round later than
+        before, so the child reaches its fixpoint within `rounds_used - 1`
+        plus their number of rounds of derivation.
+        """
+        if (not self.exact
+                or len(s.elements) > self.limits.max_tokens_per_statement):
+            return None
+        gone = {s.elements}
+        stack = [s.elements]
+        while stack:
+            for out in self.uses.get(stack.pop(), ()):
+                if out not in gone:
+                    gone.add(out)
+                    stack.append(out)
+        gone -= self.program
+        gone.add(s.elements)
+        back = 0
+        changed = True
+        while changed:
+            changed = False
+            for t in list(gone):
+                if any(map(gone.isdisjoint, self.derivations.get(t, ()))):
+                    gone.remove(t)
+                    back += 1
+                    changed = True
+        if self.rounds_used - 1 + back >= self.limits.max_rounds:
+            return None
+        return gone & self.free
 
 
 def sample(p: Program, limits: ExpansionLimits, seed: int,

@@ -60,15 +60,19 @@ def evaluate(m: Iterable[Statement], c: Iterable[Statement],
     c_set = frozenset(c)
     if not c_set:
         raise EmptyCorpus("reference corpus is empty")
-    inter = len(m_set & c_set)
-    accuracy = Fraction(inter, len(m_set)) if m_set else Fraction(0)
-    completeness = Fraction(inter, len(c_set))
+    return _report(len(m_set & c_set), len(m_set), len(c_set), size_chars,
+                   truncated)
+
+
+def _report(inter: int, m_count: int, c_count: int, size_chars: int,
+            truncated: bool) -> MetricsReport:
+    """The report of |M ∩ C|, |M| and |C| (not 0)."""
     return MetricsReport(
-        accuracy=accuracy,
-        completeness=completeness,
+        accuracy=Fraction(inter, m_count) if m_count else Fraction(0),
+        completeness=Fraction(inter, c_count),
         size_chars=size_chars,
-        m_count=len(m_set),
-        c_count=len(c_set),
+        m_count=m_count,
+        c_count=c_count,
         intersection_count=inter,
         truncated=truncated,
     )

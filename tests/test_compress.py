@@ -14,12 +14,12 @@ from bracketc import (BudgetTooSmall, EmptyCorpus, ExpansionLimits,
                       neighbors, parse_program, parse_statement, program_size,
                       reference_points, words)
 from bracketc.cli import main
-from bracketc.compress import evaluate_program, _greedy_prefix
+from bracketc.compress import (_candidate, _Deletions, _greedy_prefix,
+                               evaluate_program)
 from bracketc.syntax import STATEMENT_SEPARATOR
 
-import oracles
 from oracles import compress_reference
-from strategies import CORPUS
+from strategies import CLOSURE_PROGRAM, CORPUS, WORD
 
 
 def config(budget, **kw):
@@ -351,27 +351,109 @@ def test_compress_matches_reference(corpus, budget, lam, seed):
     assert got.objective == want.objective
 
 
+def deletion_reports(program, corpus, cfg):
+    """(report from the parent's support or None, full report) for each
+    deletion of a bracket-free statement of `program`."""
+    deletions = _Deletions(program, cfg.limits, {},
+                           {s.elements for s in corpus})
+    for s in program:
+        if s.bracket_free:
+            child = Program(st for st in program if st is not s)
+            yield (deletions.report(child, program_size(child)),
+                   evaluate_program(child, corpus, cfg).report)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CLOSURE_PROGRAM,
+       st.lists(st.lists(WORD, min_size=1, max_size=3).map(
+           lambda ws: Statement(tuple(ws))), min_size=1, max_size=6),
+       st.builds(ExpansionLimits, max_rounds=st.integers(1, 8),
+                 max_statements=st.integers(5, 200),
+                 max_tokens_per_statement=st.integers(2, 8)))
+def test_a_deletion_scored_from_its_parent_equals_its_full_score(
+        program, corpus, limits):
+    cfg = config(program_size(program), limits=limits)
+    for got, want in deletion_reports(program, corpus, cfg):
+        assert got is None or got == want
+
+
+@pytest.mark.parametrize("limits, scored", [
+    (ExpansionLimits(), 11), (ExpansionLimits(max_statements=100), 0)])
+def test_a_deletion_from_the_addition_program_scores_as_its_closure(
+        addition_program, limits, scored):
+    # recursive support: every deletion of its 11 facts is scored from the
+    # parent's derivations, unless the parent (108 statements) is capped
+    pool = closure(addition_program, ExpansionLimits()).bracket_free
+    corpus = [*pool[::3], words("NOT", "DERIVED")]
+    cfg = config(program_size(addition_program), limits=limits)
+    reports = list(deletion_reports(addition_program, corpus, cfg))
+    assert len(reports) == 11
+    assert sum(got is not None for got, _ in reports) == scored
+    for got, want in reports:
+        assert got is None or got == want
+
+
+def bench_shaped_corpus():
+    """4 templates x 10 fillers of six-letter words, as the benchmark's
+    compress-search corpus is built, the template words sorting first."""
+    slots = {f"t{i}": f"AAAA{i}A" for i in range(10)}
+    templates = ("{t0} {t1} {x} {t2} {t3}", "{x} {t4} {t5} {t6}",
+                 "{t7} {x} {t8}", "{t9} {t1} {t4} {x}")
+    return [words(*t.format(x=f"BBBB{j}B", **slots).split())
+            for t in templates for j in range(10)]
+
+
+def test_compress_of_templated_corpora_matches_reference(templated_corpus):
+    # the reference closes every program it scores
+    for corpus in (templated_corpus, bench_shaped_corpus()):
+        raw = program_size(Program(corpus))
+        for share in (3, 5, 7):
+            cfg = config(raw * share // 10, seed=0, max_iterations=8)
+            assert compress(corpus, cfg) == compress_reference(corpus, cfg)
+
+
+def test_compress_closes_a_deletion_neighbour_only_to_fall_back(
+        templated_corpus, monkeypatch):
+    # a deletion of a bracket-free statement is scored from its parent's
+    # derivations: 103 closures, against 212 when each was closed
+    calls = []
+    full = closure
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return full(*args, **kwargs)
+
+    for module in ("bracketc.compress", "bracketc.engine"):
+        monkeypatch.setattr(importlib.import_module(module), "closure",
+                            counting)
+    compress(templated_corpus, SearchConfig(budget_chars=170))
+    assert 0 < len(calls) <= 110
+
+
 def test_compress_samples_capped_neighbours_as_the_reference_does(monkeypatch):
     # the verbatim program of 310 sentences has 310 deletions, its only
     # neighbours, over the cap: its one iteration scores the 300 at the
-    # indices a fresh Random(seed) samples from their sorted list
+    # indices a fresh Random(seed) samples from their sorted list.  A
+    # program is seen scored where its `Candidate` is built, which both the
+    # full closure and a deletion scored from its parent pass through.
     corpus = [words(f"W{i}", "X") for i in range(310)]
     program = Program(corpus)
     deletions = sorted((Program(corpus[:i] + corpus[i + 1:])
                         for i in range(310)), key=str)
     scored = []
 
-    def recording(p, *args, **kwargs):
+    def recording(p, *args):
         scored.append(p)
-        return evaluate_program(p, *args, **kwargs)
+        return _candidate(p, *args)
 
     module = importlib.import_module("bracketc.compress")
-    monkeypatch.setattr(module, "evaluate_program", recording)
     samples = []
     for seed in (0, 1):
         cfg = config(program_size(program), seed=seed, max_iterations=1)
         scored.clear()
+        monkeypatch.setattr(module, "_candidate", recording)
         got = compress(corpus, cfg)
+        monkeypatch.undo()
         samples.append(set(scored))
         want = compress_reference(corpus, cfg)
         assert got.program == want.program
@@ -385,23 +467,27 @@ def test_compress_samples_capped_neighbours_as_the_reference_does(monkeypatch):
 def test_compress_draws_a_fresh_sample_for_a_kept_capped_member(monkeypatch):
     # the verbatim program of 310 sentences is kept for a second iteration,
     # where its deletions, over the cap, come from its stored list: the
-    # sample drawn from that list must be the one a fresh list gives
+    # sample drawn from that list must be the one a fresh list gives.  The
+    # reference scores through `evaluate_program`, which builds its
+    # `Candidate` in the same place, so each search is recorded in turn.
     corpus = [words(f"W{i}", "X") for i in range(310)]
     budget = program_size(Program(corpus))
+    module = importlib.import_module("bracketc.compress")
 
     def recording(scored):
-        def evaluate(p, *args, **kwargs):
+        def candidate(p, *args):
             scored.add(p)
-            return evaluate_program(p, *args, **kwargs)
-        return evaluate
+            return _candidate(p, *args)
+        return candidate
 
     for seed in (0, 1):
         cfg = config(budget, seed=seed, max_iterations=2)
         got, want = set(), set()
-        monkeypatch.setattr(importlib.import_module("bracketc.compress"),
-                            "evaluate_program", recording(got))
-        monkeypatch.setattr(oracles, "evaluate_program", recording(want))
-        assert compress(corpus, cfg) == compress_reference(corpus, cfg)
+        monkeypatch.setattr(module, "_candidate", recording(got))
+        found = compress(corpus, cfg)
+        monkeypatch.setattr(module, "_candidate", recording(want))
+        assert found == compress_reference(corpus, cfg)
+        monkeypatch.undo()
         assert len(got) > 1 + 300  # the second iteration scored programs
         assert got == want
 
@@ -542,16 +628,17 @@ def test_frontier_sweep_of_templated_corpus_equals_one_search_per_budget(
 
 def test_frontier_sweep_scores_each_program_once(templated_corpus,
                                                  monkeypatch):
+    # counted where every within-budget `Candidate` is built, by a full
+    # closure or from a deletion's parent
     scored = Counter()
 
-    def counting(program, *args, **kwargs):
-        cand = evaluate_program(program, *args, **kwargs)
-        if cand.report is not None:
+    def counting(program, report, config):
+        if report is not None:
             scored[program] += 1
-        return cand
+        return _candidate(program, report, config)
 
     monkeypatch.setattr(importlib.import_module("bracketc.compress"),
-                        "evaluate_program", counting)
+                        "_candidate", counting)
     raw = program_size(Program(templated_corpus))
     frontier_sweep(templated_corpus, [raw * s // 10 for s in (3, 5, 7)],
                    config(1))

@@ -11,7 +11,7 @@ from bracketc import (ExpansionLimits, NoBracketedStatements, Program,
                       closure, compress, expand_statement, horn_to_bc,
                       match_endings, parse_cfg, parse_program, parse_statement,
                       ripe_contents, sample, serialize_statement, words)
-from bracketc.engine import TokenCap
+from bracketc.engine import TokenCap, _Support
 
 from oracles import (closure_reference, forward_chain, ground, random_cfg,
                      ripe_contents_reference, sample_reference)
@@ -597,6 +597,112 @@ def test_sample_draws_nothing_for_an_ungroundable_statement():
     program = parse_program("A a1\nA a2\nA a3\nA a4\nX [A]\nY [A] [NOPE]")
     assert [str(s) for s in sample(program, LIMITS, 0, 4)] == [
         "X a3", "X a2", "X a1", "X a3"]
+
+
+# ---------------------------------------------------------------------------
+# deletion support (delete and rederive)
+
+
+def deletion(program, text):
+    """`program` less its statement `text`, and that statement."""
+    [s] = [st for st in program if str(st) == text]
+    return Program(st for st in program if st is not s), s
+
+
+def lost_in_full(program, child, limits):
+    """The bracket-free statements that full closures of `program` and of
+    `child` differ by, as `_Support.deleted` names them (elements)."""
+    keep = {st.elements for st in closure(child, limits).bracket_free}
+    return {st.elements for st in closure(program, limits).bracket_free
+            if st.elements not in keep}
+
+
+def test_support_falls_back_for_a_statement_capped_parent():
+    program = parse_program("A\nB [A]\nC [B]\nD [C]")
+    limits = ExpansionLimits(max_statements=5)
+    assert closure(program, limits).truncated.statements
+    child, s = deletion(program, "A")
+    assert _Support(program, limits, {}).deleted(s) is None
+    assert _Support(program, LIMITS, {}).deleted(s) == \
+        lost_in_full(program, child, LIMITS) == {("A",), ("B",), ("C",),
+                                                 ("D",)}
+
+
+def test_support_falls_back_for_a_program_over_the_statement_cap():
+    # the parent derives only `A`, which it holds; its child, at the cap of
+    # 2 statements, would have to add `A` again
+    program = parse_program("A\nB\n[B] A")
+    limits = ExpansionLimits(max_statements=2)
+    assert not closure(program, limits).truncated.any
+    child, s = deletion(program, "A")
+    assert _Support(program, limits, {}).deleted(s) is None
+    assert closure(child, limits).truncated.statements
+    assert _Support(program, ExpansionLimits(max_statements=3), {}).deleted(
+        s) == set()
+
+
+def test_support_falls_back_for_a_deleted_statement_over_the_token_cap():
+    # `A B C D` is over the cap of 3 and derived again from `A [X] C D`:
+    # the parent skips it as known, but its child must flag `tokens`
+    program = parse_program("X B\nA [X] C D\nA B C D")
+    limits = ExpansionLimits(max_tokens_per_statement=3)
+    assert not closure(program, limits).truncated.any
+    child, s = deletion(program, "A B C D")
+    assert _Support(program, limits, {}).deleted(s) is None
+    assert closure(child, limits).truncated.tokens
+
+
+CHAIN = parse_program("\n".join(
+    ["X1", *(f"X{k} [X{k - 1}]" for k in range(2, 9)), "X5"]))
+
+
+@pytest.mark.parametrize("max_rounds", [7, 8])
+def test_support_falls_back_where_a_deletion_may_reach_max_rounds(max_rounds):
+    # X5 starts X6..X8 at round 1; deleted, it is derived at round 4 and X8
+    # at round 7, so the child is truncated exactly when max_rounds <= 7
+    limits = ExpansionLimits(max_rounds=max_rounds)
+    parent = closure(CHAIN, limits)
+    assert (parent.rounds_used, parent.truncated.any) == (4, False)
+    child, s = deletion(CHAIN, "X5")
+    full = closure(child, limits)
+    lost = _Support(CHAIN, limits, {}).deleted(s)
+    if max_rounds == 7:
+        assert lost is None and full.truncated.rounds
+    else:
+        assert lost == set() == lost_in_full(CHAIN, child, limits)
+        assert (full.rounds_used, full.truncated.any) == (8, False)
+
+
+def test_support_derives_a_deleted_statement_again():
+    program = parse_program("A\nB [A]\nB\nC [B]")
+    child, s = deletion(program, "B")
+    assert _Support(program, LIMITS, {}).deleted(s) == set() == \
+        lost_in_full(program, child, LIMITS)
+
+
+def test_support_puts_a_program_statement_back_before_it_derives_again():
+    # deleting A over-deletes B and C; B, a program statement, is put back
+    # at once, and C then has a derivation from it.  `[A]` takes A's empty
+    # ending and leaves nothing, which is no derivation.
+    program = parse_program("A\n[A]\nB [A]\nB\nC [B]\nD [A]")
+    child, s = deletion(program, "A")
+    assert _Support(program, LIMITS, {}).deleted(s) == \
+        lost_in_full(program, child, LIMITS) == {("A",), ("D",)}
+
+
+def test_support_raises_for_a_combination_missing_from_the_table(
+        monkeypatch):
+    full = bracketc.engine.closure
+
+    def forgetting(p, limits, table):
+        result = full(p, limits, table=table)
+        for built in table.values():
+            built.clear()
+        return result
+
+    monkeypatch.setattr(bracketc.engine, "closure", forgetting)
+    with pytest.raises(KeyError):
+        _Support(parse_program("A\nB [A]"), LIMITS, {})
 
 
 # ---------------------------------------------------------------------------
