@@ -15,12 +15,12 @@ import heapq
 import math
 import numbers
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
-from .engine import (ExpansionLimits, ExpansionTable, _Support, check_count,
-                     closure, ripe_contents)
+from .engine import (ClosureResult, ExpansionLimits, ExpansionTable, _Support,
+                     check_count, closure, ripe_contents)
 from .errors import BudgetTooSmall, EmptyCorpus
 from .metrics import FrontierPoint, MetricsReport, _report, evaluate
 from .syntax import (STATEMENT_SEPARATOR, WORD_RE, Bracket, Element, Program,
@@ -150,33 +150,25 @@ def _rename(elements: Sequence[Element], old: str, new: str) -> tuple[Element, .
 
 
 def neighbors(program: Program, corpus: Sequence[Statement],
-              config: SearchConfig, rng: random.Random, *,
-              moves: dict[Program, list[Program]] | None = None,
-              table: ExpansionTable | None = None,
-              ) -> list[Program]:
+              config: SearchConfig, rng: random.Random) -> list[Program]:
     """All bounded mutations of a program, deterministic order; over
-    `_MAX_NEIGHBORS`, a sorted sample that `rng` draws.
+    `_MAX_NEIGHBORS`, a sorted sample that `rng` draws."""
+    covered = set(closure(program, config.limits).bracket_free)
+    return _capped(_mutations(program, corpus, covered), rng)
 
-    `moves`, if given, maps each program to its sorted mutations, for one
-    corpus and config: a program found there is not mutated again, and
-    only its sample is drawn again, so `rng` draws as it would without.
-    `table` is the expansion table of move (c)'s closure.
-    """
-    ordered = None if moves is None else moves.get(program)
-    if ordered is None:
-        ordered = _mutations(program, corpus, config, table)
-        if moves is not None:
-            moves[program] = ordered
+
+def _capped(ordered: list[Program], rng: random.Random) -> list[Program]:
+    """`ordered`, or over `_MAX_NEIGHBORS`, a sorted sample `rng` draws."""
     if len(ordered) > _MAX_NEIGHBORS:
         keep = sorted(rng.sample(range(len(ordered)), _MAX_NEIGHBORS))
         return [ordered[i] for i in keep]
-    return list(ordered)
+    return ordered
 
 
 def _mutations(program: Program, corpus: Sequence[Statement],
-               config: SearchConfig,
-               table: ExpansionTable | None) -> list[Program]:
-    """`neighbors` before the cap, sorted by text."""
+               covered: set[Statement]) -> list[Program]:
+    """`neighbors` before the cap, sorted by text; `covered` holds the
+    bracket-free statements of the program's closure."""
     stmts, text = program.statements, str(program)
     texts = [str(s) for s in stmts]
     present = set(stmts)
@@ -210,7 +202,6 @@ def _mutations(program: Program, corpus: Sequence[Statement],
 
     # (c) add one uncovered corpus sentence verbatim; `covered` holds every
     # bracket-free statement of the program, so the sentence is new to it
-    covered = set(closure(program, config.limits, table=table).bracket_free)
     for sent in corpus:
         if sent not in covered:
             append(sent)
@@ -263,14 +254,12 @@ def _mutations(program: Program, corpus: Sequence[Statement],
 
 
 def evaluate_program(program: Program, corpus: Iterable[Statement],
-                     config: SearchConfig, *,
-                     table: ExpansionTable | None = None) -> Candidate:
-    """Score a program by closure + metrics; over the budget, -inf unclosed.
-    `table` is the closure's expansion table (see `engine.closure`)."""
+                     config: SearchConfig) -> Candidate:
+    """Score a program by closure + metrics; over the budget, -inf unclosed."""
     size = program_size(program)
     if size > config.budget_chars:
         return _candidate(program, None, config)
-    result = closure(program, config.limits, table=table)
+    result = closure(program, config.limits)
     return _candidate(program, evaluate(result.bracket_free, corpus, size,
                                         result.truncated.any), config)
 
@@ -283,51 +272,6 @@ def _candidate(program: Program, report: MetricsReport | None,
         return Candidate(program, None, float("-inf"))
     return Candidate(program, report, float(report.completeness)
                      + config.lambda_accuracy * float(report.accuracy))
-
-
-def _deleted(parent: Program, child: Program) -> Statement | None:
-    """The statement of `parent` whose deletion leaves `child`, or None.
-    A deletion keeps its parent's statement objects, so the first one that
-    is not the parent's is where the deleted one was."""
-    a, b = parent.statements, child.statements
-    if len(b) != len(a) - 1:
-        return None
-    i = next((k for k, (x, y) in enumerate(zip(a, b)) if x is not y), len(b))
-    return a[i] if a[i + 1:] == b[i:] else None
-
-
-class _Deletions:
-    """Reports of the neighbours of one beam member, `parent`, that delete
-    one of its bracket-free statements, read from the parent's `_Support`
-    instead of a closure of each: |M| falls by the bracket-free statements
-    the deletion loses, and |M ∩ C| by those of them in the corpus.  The
-    support is built for the first such neighbour and dropped with this
-    object, so one is alive while one member's neighbours are scored."""
-
-    def __init__(self, parent: Program, limits: ExpansionLimits,
-                 table: ExpansionTable, corpus: set[tuple[Element, ...]]
-                 ) -> None:
-        self.parent, self.limits, self.table = parent, limits, table
-        self.corpus = corpus  # the elements of the corpus statements
-        self.support: _Support | None = None
-        self.counts = 0, 0  # the parent's |M ∩ C| and |M|, with the support
-
-    def report(self, child: Program, size: int) -> MetricsReport | None:
-        """`child`'s report, or None unless it is such a deletion and the
-        support scores it (see `_Support.deleted`)."""
-        s = _deleted(self.parent, child)
-        if s is None or not s.bracket_free:
-            return None
-        if self.support is None:
-            self.support = _Support(self.parent, self.limits, self.table)
-            free = self.support.free
-            self.counts = len(free & self.corpus), len(free)
-        lost = self.support.deleted(s)
-        if lost is None:
-            return None
-        inter, m_count = self.counts
-        return _report(inter - len(lost & self.corpus), m_count - len(lost),
-                       len(self.corpus), size, False)
 
 
 def _greedy_prefix(corpus: Sequence[Statement], budget: int) -> Program:
@@ -355,74 +299,127 @@ def compress(corpus: Sequence[Statement], config: SearchConfig) -> Candidate:
     Starts from slot induction and from the verbatim greedy prefix (the
     near-100%-accuracy extreme); BudgetTooSmall if that prefix is empty.
 
-    The search's tables (see `_search`) are its own, dropped when it
-    returns.
+    The search's state (see `_Search`) is its own, dropped when it returns.
     """
-    return _search(corpus, config, {}, {}, {})
+    return _Search(corpus, config).run(config.budget_chars, config.seed)
 
 
-def _search(corpus: Sequence[Statement], config: SearchConfig,
-            table: ExpansionTable, scores: dict[Program, Candidate],
-            moves: dict[Program, list[Program]]) -> Candidate:
-    """`compress` with its tables given, which the search fills: `table`,
-    every closure's expansion table, since the programs are one statement
-    apart and share their expansions; `scores`, the `Candidate` of each
-    program scored within the budget; `moves`, `neighbors`' mutation lists,
-    since a beam member kept for another iteration is mutated again.
+class _Search:
+    """The searches over one corpus under one config's limits and lambda;
+    `run` searches at one budget with one seed.
 
-    None of them depends on the budget, so `frontier_sweep` passes one set
-    to every budget.  A program in `scores` that is over this budget is
-    scored again, -inf and unclosed, and such a score is never stored.  A
-    neighbour that deletes a bracket-free statement of its beam member is
-    scored from the member's derivations where `_Deletions` can."""
-    corpus = list(dict.fromkeys(corpus))
-    if not corpus:
-        raise EmptyCorpus("corpus is empty")
-    greedy = _greedy_prefix(corpus, config.budget_chars)
-    if not greedy:
-        raise BudgetTooSmall(
-            f"budget {config.budget_chars} fits no single corpus statement")
+    Its tables depend on no budget: `table`, every closure's expansion
+    table, since the programs are one statement apart; `scores`, each
+    program scored within a budget (one over it is -inf, unclosed and not
+    stored); `moves`, each beam member's sorted mutations.  `member`, the
+    beam member whose neighbours are scored, is closed (`result`) and
+    supported at most once each: its closure gives move (c) its bracket-free
+    statements, and its `_Support` scores the neighbours that delete one."""
 
-    c_set = frozenset(corpus)
-    c_elements = {st.elements for st in c_set}
-    seen: set[Program] = set()
+    def __init__(self, corpus: Sequence[Statement],
+                 config: SearchConfig) -> None:
+        self.corpus = list(dict.fromkeys(corpus))
+        if not self.corpus:
+            raise EmptyCorpus("corpus is empty")
+        self.c_set = frozenset(self.corpus)
+        self.c_elements = {st.elements for st in self.corpus}
+        self.config = config  # its budget and seed are not read
+        self.table: ExpansionTable = {}
+        self.scores: dict[Program, Candidate] = {}
+        self.moves: dict[Program, list[Program]] = {}
+        self._take(None)
 
-    def score(program: Program,
-              deletions: _Deletions | None = None) -> Candidate:
-        seen.add(program)
+    def _take(self, member: Program | None) -> None:
+        """Make `member` the beam member, not yet closed; None between."""
+        self.member = member
+        self.result: ClosureResult | None = None
+        # the member's support, with its closure's |M ∩ C| and |M|
+        self.support: tuple[_Support, int, int] | None = None
+
+    def _closure(self) -> ClosureResult:
+        if self.result is None:
+            self.result = closure(self.member, self.config.limits,
+                                  table=self.table)
+        return self.result
+
+    def _deletion(self, child: Program, size: int) -> MetricsReport | None:
+        """`child`'s report, or None unless it deletes a bracket-free
+        statement `s` of the member and the support scores it (see
+        `_Support.deleted`): |M| falls by the bracket-free statements the
+        deletion loses, and |M ∩ C| by those of them in the corpus."""
+        a, b = self.member.statements, child.statements
+        if len(b) != len(a) - 1:
+            return None
+        # a deletion keeps its parent's statement objects, so the first one
+        # that is not the parent's is where `s` was
+        i = next((k for k, x in enumerate(b) if x is not a[k]), len(b))
+        s = a[i]
+        if a[i + 1:] != b[i:] or not s.bracket_free:
+            return None
+        if self.support is None:
+            support = _Support(self.member, self._closure(),
+                               self.config.limits, self.table)
+            free = support.free
+            self.support = support, len(free & self.c_elements), len(free)
+        support, inter, m_count = self.support
+        lost = support.deleted(s)
+        if lost is None:
+            return None
+        return _report(inter - len(lost & self.c_elements),
+                       m_count - len(lost), len(self.corpus), size, False)
+
+    def _score(self, program: Program, budget: int) -> Candidate:
         size = program_size(program)
-        if size > config.budget_chars:
-            return _candidate(program, None, config)
-        cand = scores.get(program)
-        if cand is None:
-            report = (None if deletions is None
-                      else deletions.report(program, size))
-            cand = (evaluate_program(program, c_set, config, table=table)
-                    if report is None else _candidate(program, report, config))
-            scores[program] = cand
-        return cand
+        if size > budget:
+            return _candidate(program, None, self.config)
+        if program not in self.scores:
+            report = (None if self.member is None
+                      else self._deletion(program, size))
+            if report is None:
+                result = closure(program, self.config.limits, table=self.table)
+                report = evaluate(result.bracket_free, self.c_set, size,
+                                  result.truncated.any)
+            self.scores[program] = _candidate(program, report, self.config)
+        return self.scores[program]
 
-    def scored(parent: Program) -> Iterator[Candidate]:
-        """`parent`'s unseen neighbours, scored."""
-        deletions = _Deletions(parent, config.limits, table, c_elements)
-        for prog in neighbors(parent, corpus, config, rng, moves=moves,
-                              table=table):
-            if prog not in seen:
-                yield score(prog, deletions)
+    def run(self, budget: int, seed: int) -> Candidate:
+        """`compress` at `budget`, its samples drawn with `seed`; its beam,
+        `rng` and set of programs seen are its own."""
+        greedy = _greedy_prefix(self.corpus, budget)
+        if not greedy:
+            raise BudgetTooSmall(
+                f"budget {budget} fits no single corpus statement")
+        seen: set[Program] = set()
+        rng = random.Random(seed)
 
-    starts = dict.fromkeys([greedy, induce_slots(corpus)])
-    beam = heapq.nsmallest(config.beam_width, map(score, starts), key=_rank)
+        def score(program: Program) -> Candidate:
+            seen.add(program)
+            return self._score(program, budget)
 
-    rng = random.Random(config.seed)
-    for _ in range(config.max_iterations):
-        # the new beam keeps the old one's best, so beam[0] is the best yet
-        produced = chain.from_iterable(scored(cand.program) for cand in beam)
-        new_beam = heapq.nsmallest(config.beam_width, chain(beam, produced),
-                                   key=_rank)
-        if new_beam == beam:
-            break
-        beam = new_beam
-    return beam[0]
+        def scored(member: Program) -> Iterator[Candidate]:
+            """`member`'s unseen neighbours, scored; a member found in
+            `moves` has its sample drawn again."""
+            self._take(member)
+            ordered = self.moves.get(member)
+            if ordered is None:
+                ordered = self.moves[member] = _mutations(
+                    member, self.corpus, set(self._closure().bracket_free))
+            for prog in _capped(ordered, rng):
+                if prog not in seen:
+                    yield score(prog)
+            self._take(None)
+
+        width = self.config.beam_width
+        starts = dict.fromkeys([greedy, induce_slots(self.corpus)])
+        beam = heapq.nsmallest(width, map(score, starts), key=_rank)
+        for _ in range(self.config.max_iterations):
+            # the new beam keeps the old one's best, so beam[0] is the best yet
+            produced = chain.from_iterable(scored(c.program) for c in beam)
+            new_beam = heapq.nsmallest(width, chain(beam, produced), key=_rank)
+            if new_beam == beam:
+                break
+            beam = new_beam
+        return beam[0]
 
 
 # ---------------------------------------------------------------------------
@@ -454,22 +451,18 @@ def frontier_sweep(corpus: Sequence[Statement], budgets: Sequence[int],
     Every budget is checked before the first search.  Budgets too small for
     any program are skipped (and logged by the CLI layer); each budget gets
     an independent seed derived from config.seed, its own beam and its own
-    `seen` set.  The search tables of `compress` (expansions, candidates,
-    mutation lists) are shared by all the budgets and dropped on return.
+    `seen` set.  One `_Search`, and so its tables (expansions, candidates,
+    mutation lists), serves all the budgets and is dropped on return.
     """
     for b in budgets:  # every type first, so that no str or None is compared
         check_count("budgets", b, -math.inf)
     if not budgets or min(budgets) < 1:
         raise ValueError("budgets must be non-empty and positive")
-    table: ExpansionTable = {}
-    scores: dict[Program, Candidate] = {}
-    moves: dict[Program, list[Program]] = {}
+    search = _Search(corpus, config)
     points: list[FrontierPoint] = []
     for i, budget in enumerate(budgets):
         try:
-            cand = _search(corpus, replace(config, budget_chars=budget,
-                                           seed=config.seed + i),
-                           table, scores, moves)
+            cand = search.run(budget, config.seed + i)
         except BudgetTooSmall:
             continue
         points.append(FrontierPoint(budget, cand.report, "compress"))

@@ -358,10 +358,10 @@ def closure(p: Program, limits: ExpansionLimits, *,
 
 
 class _Support:
-    """What each statement of a program's closure is derived from, so that
-    the closure of the program less one bracket-free statement is found by
-    delete and rederive (DRed: Gupta, Mumick & Subrahmanian 1993) without
-    closing it again.
+    """What each statement of a program's closure, `result`, made under
+    `limits` through `table`, is derived from, so that the closure of the
+    program less one bracket-free statement is found by delete and rederive
+    (DRed: Gupta, Mumick & Subrahmanian 1993) without closing it.
 
     A derivation is one residual statement and one combination of its
     classes' endings in the final pool: its inputs are the residual and, per
@@ -376,9 +376,8 @@ class _Support:
     the cap.
     """
 
-    def __init__(self, program: Program, limits: ExpansionLimits,
-                 table: ExpansionTable) -> None:
-        result = closure(program, limits, table=table)
+    def __init__(self, program: Program, result: ClosureResult,
+                 limits: ExpansionLimits, table: ExpansionTable) -> None:
         self.limits, self.rounds_used = limits, result.rounds_used
         #: The elements of the closure's bracket-free statements.
         self.free = set(map(_ELEMENTS, result.bracket_free))

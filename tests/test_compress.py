@@ -14,7 +14,7 @@ from bracketc import (BudgetTooSmall, EmptyCorpus, ExpansionLimits,
                       neighbors, parse_program, parse_statement, program_size,
                       reference_points, words)
 from bracketc.cli import main
-from bracketc.compress import (_candidate, _Deletions, _greedy_prefix,
+from bracketc.compress import (_candidate, _greedy_prefix, _Search,
                                evaluate_program)
 from bracketc.syntax import STATEMENT_SEPARATOR
 
@@ -353,13 +353,14 @@ def test_compress_matches_reference(corpus, budget, lam, seed):
 
 def deletion_reports(program, corpus, cfg):
     """(report from the parent's support or None, full report) for each
-    deletion of a bracket-free statement of `program`."""
-    deletions = _Deletions(program, cfg.limits, {},
-                           {s.elements for s in corpus})
+    deletion of a bracket-free statement of `program`, scored as a search
+    scores the neighbours of its beam member `program`."""
+    search = _Search(corpus, cfg)
+    search._take(program)
     for s in program:
         if s.bracket_free:
             child = Program(st for st in program if st is not s)
-            yield (deletions.report(child, program_size(child)),
+            yield (search._deletion(child, program_size(child)),
                    evaluate_program(child, corpus, cfg).report)
 
 
@@ -415,7 +416,7 @@ def test_compress_of_templated_corpora_matches_reference(templated_corpus):
 def test_compress_closes_a_deletion_neighbour_only_to_fall_back(
         templated_corpus, monkeypatch):
     # a deletion of a bracket-free statement is scored from its parent's
-    # derivations: 103 closures, against 212 when each was closed
+    # derivations: 81 closures, against 212 when each was closed
     calls = []
     full = closure
 
@@ -428,6 +429,25 @@ def test_compress_closes_a_deletion_neighbour_only_to_fall_back(
                             counting)
     compress(templated_corpus, SearchConfig(budget_chars=170))
     assert 0 < len(calls) <= 110
+
+
+def test_compress_closes_each_beam_member_once(templated_corpus,
+                                              monkeypatch):
+    # a program is closed at most once to be scored and once as a beam
+    # member, whose one closure serves both move (c) and its support
+    closed = Counter()
+    full = closure
+
+    def counting(*args, **kwargs):
+        closed[args[0]] += 1
+        return full(*args, **kwargs)
+
+    for module in ("bracketc.compress", "bracketc.engine"):
+        monkeypatch.setattr(importlib.import_module(module), "closure",
+                            counting)
+    compress(templated_corpus, SearchConfig(budget_chars=170))
+    assert closed and max(closed.values()) <= 2
+    assert sum(closed.values()) <= 85
 
 
 def test_compress_samples_capped_neighbours_as_the_reference_does(monkeypatch):
@@ -563,7 +583,7 @@ def test_frontier_sweep_checks_every_budget_before_it_searches(
         raise BudgetTooSmall("no search in this test")
 
     monkeypatch.setattr(importlib.import_module("bracketc.compress"),
-                        "_search", searching)
+                        "_Search", searching)
     with pytest.raises(ValueError, match="budgets must be an int"):
         frontier_sweep(templated_corpus, [40, bad], config(40))
     assert calls == []

@@ -617,13 +617,21 @@ def lost_in_full(program, child, limits):
             if st.elements not in keep}
 
 
+def support(program, limits):
+    """`program`'s `_Support`, from its closure made through a fresh table
+    by `bracketc.engine.closure`, as the search makes it."""
+    table = {}
+    result = bracketc.engine.closure(program, limits, table=table)
+    return _Support(program, result, limits, table)
+
+
 def test_support_falls_back_for_a_statement_capped_parent():
     program = parse_program("A\nB [A]\nC [B]\nD [C]")
     limits = ExpansionLimits(max_statements=5)
     assert closure(program, limits).truncated.statements
     child, s = deletion(program, "A")
-    assert _Support(program, limits, {}).deleted(s) is None
-    assert _Support(program, LIMITS, {}).deleted(s) == \
+    assert support(program, limits).deleted(s) is None
+    assert support(program, LIMITS).deleted(s) == \
         lost_in_full(program, child, LIMITS) == {("A",), ("B",), ("C",),
                                                  ("D",)}
 
@@ -635,9 +643,9 @@ def test_support_falls_back_for_a_program_over_the_statement_cap():
     limits = ExpansionLimits(max_statements=2)
     assert not closure(program, limits).truncated.any
     child, s = deletion(program, "A")
-    assert _Support(program, limits, {}).deleted(s) is None
+    assert support(program, limits).deleted(s) is None
     assert closure(child, limits).truncated.statements
-    assert _Support(program, ExpansionLimits(max_statements=3), {}).deleted(
+    assert support(program, ExpansionLimits(max_statements=3)).deleted(
         s) == set()
 
 
@@ -648,7 +656,7 @@ def test_support_falls_back_for_a_deleted_statement_over_the_token_cap():
     limits = ExpansionLimits(max_tokens_per_statement=3)
     assert not closure(program, limits).truncated.any
     child, s = deletion(program, "A B C D")
-    assert _Support(program, limits, {}).deleted(s) is None
+    assert support(program, limits).deleted(s) is None
     assert closure(child, limits).truncated.tokens
 
 
@@ -665,7 +673,7 @@ def test_support_falls_back_where_a_deletion_may_reach_max_rounds(max_rounds):
     assert (parent.rounds_used, parent.truncated.any) == (4, False)
     child, s = deletion(CHAIN, "X5")
     full = closure(child, limits)
-    lost = _Support(CHAIN, limits, {}).deleted(s)
+    lost = support(CHAIN, limits).deleted(s)
     if max_rounds == 7:
         assert lost is None and full.truncated.rounds
     else:
@@ -676,7 +684,7 @@ def test_support_falls_back_where_a_deletion_may_reach_max_rounds(max_rounds):
 def test_support_derives_a_deleted_statement_again():
     program = parse_program("A\nB [A]\nB\nC [B]")
     child, s = deletion(program, "B")
-    assert _Support(program, LIMITS, {}).deleted(s) == set() == \
+    assert support(program, LIMITS).deleted(s) == set() == \
         lost_in_full(program, child, LIMITS)
 
 
@@ -686,7 +694,7 @@ def test_support_puts_a_program_statement_back_before_it_derives_again():
     # ending and leaves nothing, which is no derivation.
     program = parse_program("A\n[A]\nB [A]\nB\nC [B]\nD [A]")
     child, s = deletion(program, "A")
-    assert _Support(program, LIMITS, {}).deleted(s) == \
+    assert support(program, LIMITS).deleted(s) == \
         lost_in_full(program, child, LIMITS) == {("A",), ("D",)}
 
 
@@ -702,7 +710,7 @@ def test_support_raises_for_a_combination_missing_from_the_table(
 
     monkeypatch.setattr(bracketc.engine, "closure", forgetting)
     with pytest.raises(KeyError):
-        _Support(parse_program("A\nB [A]"), LIMITS, {})
+        support(parse_program("A\nB [A]"), LIMITS)
 
 
 # ---------------------------------------------------------------------------
