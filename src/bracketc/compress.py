@@ -154,10 +154,13 @@ def neighbors(program: Program, corpus: Sequence[Statement],
     """All bounded mutations of a program, deterministic order; over
     `_MAX_NEIGHBORS`, a sorted sample that `rng` draws."""
     covered = set(closure(program, config.limits).bracket_free)
-    return _capped(_mutations(program, corpus, covered), rng)
+    return [q for q, _ in _capped(_mutations(program, corpus, covered), rng)]
 
 
-def _capped(ordered: list[Program], rng: random.Random) -> list[Program]:
+_Move = tuple[Program, Statement | None]  # a neighbour, what it deletes
+
+
+def _capped(ordered: list[_Move], rng: random.Random) -> list[_Move]:
     """`ordered`, or over `_MAX_NEIGHBORS`, a sorted sample `rng` draws."""
     if len(ordered) > _MAX_NEIGHBORS:
         keep = sorted(rng.sample(range(len(ordered)), _MAX_NEIGHBORS))
@@ -166,9 +169,10 @@ def _capped(ordered: list[Program], rng: random.Random) -> list[Program]:
 
 
 def _mutations(program: Program, corpus: Sequence[Statement],
-               covered: set[Statement]) -> list[Program]:
-    """`neighbors` before the cap, sorted by text; `covered` holds the
-    bracket-free statements of the program's closure."""
+               covered: set[Statement]) -> list[_Move]:
+    """`neighbors` before the cap, sorted by text, each paired with the
+    program statement it lacks if move (b) made it, else None; `covered`
+    holds the bracket-free statements of the program's closure."""
     stmts, text = program.statements, str(program)
     texts = [str(s) for s in stmts]
     present = set(stmts)
@@ -177,10 +181,11 @@ def _mutations(program: Program, corpus: Sequence[Statement],
     taken = set(WORD_RE.findall(text))
     taken.update(w for s in corpus for w in s.words)
     alias_word = fresh_word("CAT", taken)
-    results: dict[Program, None] = {}
+    results: dict[Program, Statement | None] = {}
 
     def emit(statements: Iterable[Statement]) -> None:
-        results[Program(statements)] = None
+        # one equal to a deletion keeps the statement move (b) deletes
+        results.setdefault(Program(statements))
 
     # A deletion, and an addition of a statement that is not in the program,
     # are duplicate-free: each is built from its parent's statement texts.
@@ -198,7 +203,7 @@ def _mutations(program: Program, corpus: Sequence[Statement],
         for i in range(len(stmts)):
             rest = texts[:i] + texts[i + 1:]
             results[Program._of(stmts[:i] + stmts[i + 1:],
-                                STATEMENT_SEPARATOR.join(rest))] = None
+                                STATEMENT_SEPARATOR.join(rest))] = stmts[i]
 
     # (c) add one uncovered corpus sentence verbatim; `covered` holds every
     # bracket-free statement of the program, so the sentence is new to it
@@ -246,7 +251,7 @@ def _mutations(program: Program, corpus: Sequence[Statement],
                     st.elements[:pos] + (bracket,) + st.elements[pos + 1:])
                 emit(stmts[:idx] + (new_st,) + stmts[idx + 1:] + extra)
 
-    return sorted(results, key=str)
+    return sorted(results.items(), key=lambda move: str(move[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +316,11 @@ class _Search:
     Its tables depend on no budget: `table`, every closure's expansion
     table, since the programs are one statement apart; `scores`, each
     program scored within a budget (one over it is -inf, unclosed and not
-    stored); `moves`, each beam member's sorted mutations.  `member`, the
-    beam member whose neighbours are scored, is closed (`result`) and
-    supported at most once each: its closure gives move (c) its bracket-free
-    statements, and its `_Support` scores the neighbours that delete one."""
+    stored); `moves`, each beam member's sorted mutations, paired with
+    what they delete.  `member`, the beam member whose neighbours are
+    scored, is closed (`result`) and supported at most once each: its
+    closure gives move (c) its bracket-free statements, and its `_Support`
+    scores each neighbour that deletes one of its statements."""
 
     def __init__(self, corpus: Sequence[Statement],
                  config: SearchConfig) -> None:
@@ -326,7 +332,7 @@ class _Search:
         self.config = config  # its budget and seed are not read
         self.table: ExpansionTable = {}
         self.scores: dict[Program, Candidate] = {}
-        self.moves: dict[Program, list[Program]] = {}
+        self.moves: dict[Program, list[_Move]] = {}
         self._take(None)
 
     def _take(self, member: Program | None) -> None:
@@ -342,20 +348,11 @@ class _Search:
                                   table=self.table)
         return self.result
 
-    def _deletion(self, child: Program, size: int) -> MetricsReport | None:
-        """`child`'s report, or None unless it deletes a bracket-free
-        statement `s` of the member and the support scores it (see
+    def _deletion(self, s: Statement, size: int) -> MetricsReport | None:
+        """The report of the member less its statement `s`, of `size`
+        characters, or None unless the support scores it (see
         `_Support.deleted`): |M| falls by the bracket-free statements the
         deletion loses, and |M ∩ C| by those of them in the corpus."""
-        a, b = self.member.statements, child.statements
-        if len(b) != len(a) - 1:
-            return None
-        # a deletion keeps its parent's statement objects, so the first one
-        # that is not the parent's is where `s` was
-        i = next((k for k, x in enumerate(b) if x is not a[k]), len(b))
-        s = a[i]
-        if a[i + 1:] != b[i:] or not s.bracket_free:
-            return None
         if self.support is None:
             support = _Support(self.member, self._closure(),
                                self.config.limits, self.table)
@@ -368,13 +365,13 @@ class _Search:
         return _report(inter - len(lost & self.c_elements),
                        m_count - len(lost), len(self.corpus), size, False)
 
-    def _score(self, program: Program, budget: int) -> Candidate:
+    def _score(self, program: Program, budget: int,
+               deleted: Statement | None) -> Candidate:
         size = program_size(program)
         if size > budget:
             return _candidate(program, None, self.config)
         if program not in self.scores:
-            report = (None if self.member is None
-                      else self._deletion(program, size))
+            report = None if deleted is None else self._deletion(deleted, size)
             if report is None:
                 result = closure(program, self.config.limits, table=self.table)
                 report = evaluate(result.bracket_free, self.c_set, size,
@@ -392,9 +389,10 @@ class _Search:
         seen: set[Program] = set()
         rng = random.Random(seed)
 
-        def score(program: Program) -> Candidate:
+        def score(program: Program,
+                  deleted: Statement | None = None) -> Candidate:
             seen.add(program)
-            return self._score(program, budget)
+            return self._score(program, budget, deleted)
 
         def scored(member: Program) -> Iterator[Candidate]:
             """`member`'s unseen neighbours, scored; a member found in
@@ -404,9 +402,9 @@ class _Search:
             if ordered is None:
                 ordered = self.moves[member] = _mutations(
                     member, self.corpus, set(self._closure().bracket_free))
-            for prog in _capped(ordered, rng):
+            for prog, deleted in _capped(ordered, rng):
                 if prog not in seen:
-                    yield score(prog)
+                    yield score(prog, deleted)
             self._take(None)
 
         width = self.config.beam_width

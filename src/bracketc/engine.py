@@ -360,8 +360,8 @@ def closure(p: Program, limits: ExpansionLimits, *,
 class _Support:
     """What each statement of a program's closure, `result`, made under
     `limits` through `table`, is derived from, so that the closure of the
-    program less one bracket-free statement is found by delete and rederive
-    (DRed: Gupta, Mumick & Subrahmanian 1993) without closing it.
+    program less one statement, bracketed or not, is found by delete and
+    rederive (DRed: Gupta, Mumick & Subrahmanian 1993) without closing it.
 
     A derivation is one residual statement and one combination of its
     classes' endings in the final pool: its inputs are the residual and, per
@@ -405,10 +405,10 @@ class _Support:
 
     def deleted(self, s: Statement) -> set[_Key] | None:
         """The elements of the bracket-free statements that the closure of
-        the program less its bracket-free statement `s` lacks, or None where
-        a full closure must decide: the closure was truncated, the program
-        is over the statement cap, `s` is over the token cap (derived again,
-        it would be cut there), or a statement derived again may lengthen a
+        the program less its statement `s` lacks, or None where a full
+        closure must decide: the closure was truncated, the program is over
+        the statement cap, `s` is over the token cap (derived again, it
+        would be cut there), or a statement derived again may lengthen a
         derivation to `max_rounds`.
 
         Over-delete what `s` reaches through derivations, put back the

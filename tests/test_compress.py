@@ -14,8 +14,8 @@ from bracketc import (BudgetTooSmall, EmptyCorpus, ExpansionLimits,
                       neighbors, parse_program, parse_statement, program_size,
                       reference_points, words)
 from bracketc.cli import main
-from bracketc.compress import (_candidate, _greedy_prefix, _Search,
-                               evaluate_program)
+from bracketc.compress import (_candidate, _greedy_prefix, _mutations,
+                               _Search, evaluate_program)
 from bracketc.syntax import STATEMENT_SEPARATOR
 
 from oracles import compress_reference
@@ -209,6 +209,15 @@ def test_neighbours_are_duplicate_free_with_their_canonical_text(corpus,
                 assert str(q) == STATEMENT_SEPARATOR.join(map(str, q.statements))
                 rebuilt = Program(q.statements)
                 assert q == rebuilt and hash(q) == hash(rebuilt)
+            # a neighbour names the statement of `p` it deletes, if any, and
+            # every deletion of a program of two or more statements is named
+            covered = set(closure(p, cfg.limits).bracket_free)
+            moves = _mutations(p, corpus, covered)
+            for q, s in moves:
+                if s is not None:
+                    assert q.statements == tuple(x for x in p if x != s)
+            deletions = {Program(x for x in p if x != s): s for s in p}
+            assert len(p) < 2 or deletions.items() <= dict(moves).items()
 
 
 def test_neighbours_of_the_empty_program_add_one_sentence_each():
@@ -352,16 +361,15 @@ def test_compress_matches_reference(corpus, budget, lam, seed):
 
 
 def deletion_reports(program, corpus, cfg):
-    """(report from the parent's support or None, full report) for each
-    deletion of a bracket-free statement of `program`, scored as a search
+    """(report from the parent's support or None, full report) for the
+    deletion of each statement of `program`, in order, scored as a search
     scores the neighbours of its beam member `program`."""
     search = _Search(corpus, cfg)
     search._take(program)
     for s in program:
-        if s.bracket_free:
-            child = Program(st for st in program if st is not s)
-            yield (search._deletion(child, program_size(child)),
-                   evaluate_program(child, corpus, cfg).report)
+        child = Program(st for st in program if st is not s)
+        yield (search._deletion(s, program_size(child)),
+               evaluate_program(child, corpus, cfg).report)
 
 
 @settings(max_examples=150, deadline=None)
@@ -387,7 +395,8 @@ def test_a_deletion_from_the_addition_program_scores_as_its_closure(
     pool = closure(addition_program, ExpansionLimits()).bracket_free
     corpus = [*pool[::3], words("NOT", "DERIVED")]
     cfg = config(program_size(addition_program), limits=limits)
-    reports = list(deletion_reports(addition_program, corpus, cfg))
+    reports = [r for s, r in zip(addition_program, deletion_reports(
+        addition_program, corpus, cfg)) if s.bracket_free]
     assert len(reports) == 11
     assert sum(got is not None for got, _ in reports) == scored
     for got, want in reports:
@@ -415,8 +424,27 @@ def test_compress_of_templated_corpora_matches_reference(templated_corpus):
 
 def test_compress_closes_a_deletion_neighbour_only_to_fall_back(
         templated_corpus, monkeypatch):
-    # a deletion of a bracket-free statement is scored from its parent's
-    # derivations: 81 closures, against 212 when each was closed
+    # a deletion is scored from its parent's derivations: 41 closures,
+    # against 81 when only a bracket-free one was and 212 when each was closed
+    calls = counted_closures(monkeypatch)
+    compress(templated_corpus, SearchConfig(budget_chars=170))
+    assert 0 < len(calls) <= 45
+
+
+def test_frontier_sweep_closes_a_deletion_neighbour_only_to_fall_back(
+        templated_corpus, monkeypatch):
+    # each run builds the `induce_slots` start again, an equal but distinct
+    # program, whose deletions are still scored from its support: 165
+    # closures, against 242 when they were found by statement identity
+    calls = counted_closures(monkeypatch)
+    raw = program_size(Program(templated_corpus))
+    frontier_sweep(templated_corpus, [raw * s // 10 for s in (3, 5, 7)],
+                   SearchConfig(budget_chars=1))
+    assert 0 < len(calls) <= 170
+
+
+def counted_closures(monkeypatch):
+    """The programs closed from now on, in order, in either module."""
     calls = []
     full = closure
 
@@ -427,8 +455,7 @@ def test_compress_closes_a_deletion_neighbour_only_to_fall_back(
     for module in ("bracketc.compress", "bracketc.engine"):
         monkeypatch.setattr(importlib.import_module(module), "closure",
                             counting)
-    compress(templated_corpus, SearchConfig(budget_chars=170))
-    assert 0 < len(calls) <= 110
+    return calls
 
 
 def test_compress_closes_each_beam_member_once(templated_corpus,
